@@ -7,13 +7,16 @@ pipeline for that integral, built from three layers:
 * :func:`opt_total` — an event-sorted **sweep line** over the elementary
   intervals (via :func:`repro.core.events.active_size_slices`) that maintains
   the active size multiset incrementally instead of rescanning all items per
-  interval, **warm-starts** each slice's branch-and-bound with the previous
-  slice's optimum plus its arrivals, and answers repeated multisets from a
-  :class:`MemoCache`.
+  interval.  Each slice goes through **Prop 3 certificate → FFD → memo →
+  B&B on the residue**: the lower bound max(⌈S(t)⌉, #items > ½) settles the
+  slice when it meets the **warm** upper bound (the previous slice's optimum
+  plus its arrivals) or the First-Fit-Decreasing count; only the residue
+  consults the :class:`MemoCache` and, on a miss, runs branch and bound.
 * :class:`MemoCache` — a thread-safe, optionally disk-backed map from the
   canonical hash of a size multiset to its exact bin count, shared across
   ``opt_total`` calls (and, through a file, across sweep worker processes
-  and repeated benchmark runs).
+  and repeated benchmark runs).  It holds branch-and-bound results only;
+  certified slices never reach it.
 * :class:`AdversaryOracle` — a stateful evaluator that remembers the slice
   decomposition of the last instance it solved; when the next instance
   differs only by item mutations, it recomputes **only the slices
@@ -52,7 +55,7 @@ from ..core.exceptions import ValidationError
 from ..core.items import ItemList
 from ..core.stepfun import DEFAULT_TOL
 from ..obs import TelemetryRegistry, enabled as _telemetry_enabled
-from .optimal import SolverStats, bin_packing_min_bins
+from .optimal import SolverStats, _branch_and_bound, _certificate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.deadline import Deadline
@@ -276,36 +279,40 @@ def _slice_count(
     stats: SolverStats | None,
     deadline: "Deadline | None" = None,
 ) -> int:
-    """Exact bin count of one slice: memo lookup, else warm-started B&B."""
+    """Exact bin count of one ascending slice.
+
+    Prop 3 certificate → FFD → memo → branch and bound: the certificate
+    settles most slices against the warm upper bound or the FFD count with
+    no memo key at all; only the residue is looked up, and only search
+    results are cached.
+    """
+    count, ffd = _certificate(sizes, warm_upper, tol)
+    if count is not None:
+        if stats is not None:
+            stats.certified += 1
+        return count
     key = MemoCache.key(sizes, tol)
     cached = memo.get(key)
     if cached is not None:
         if stats is not None:
             stats.memo_hits += 1
         return cached
+    t0 = None
     if stats is not None:
         stats.memo_misses += 1
         if _telemetry_enabled():
             t0 = time.perf_counter()
-            count = bin_packing_min_bins(
-                sizes,
-                tol=tol,
-                max_nodes=max_nodes,
-                upper_bound=warm_upper,
-                stats=stats,
-                deadline=deadline,
-            )
-            stats.solve_latency.observe(time.perf_counter() - t0)
-            memo.put(key, count)
-            return count
-    count = bin_packing_min_bins(
-        sizes,
+    count = _branch_and_bound(
+        sizes[::-1],
+        ffd,
+        warm_upper,
         tol=tol,
         max_nodes=max_nodes,
-        upper_bound=warm_upper,
         stats=stats,
         deadline=deadline,
     )
+    if t0 is not None:
+        stats.solve_latency.observe(time.perf_counter() - t0)
     memo.put(key, count)
     return count
 
@@ -338,12 +345,13 @@ def opt_total(
     """Exact ``OPT_total(R) = ∫ OPT(R, t) dt`` (paper §3.2), fast.
 
     An event-sorted sweep maintains the active size multiset in O(log n) per
-    event; each elementary interval's classical bin packing instance is
-    answered from ``memo`` when its multiset has been seen before (by any
-    prior call sharing the cache) and otherwise solved by branch and bound
-    warm-started with the previous slice's optimum plus its arrival count —
-    a valid upper bound, since removing departures cannot increase the
-    optimum and each arrival fits in a fresh bin.
+    event.  Each elementary interval's classical bin packing instance is
+    settled by the Prop 3 certificate when its lower bound meets the warm
+    upper bound — the previous slice's optimum plus its arrival count, valid
+    since removing departures cannot increase the optimum and each arrival
+    fits in a fresh bin — or the FFD count.  The residue is answered from
+    ``memo`` when its multiset has been searched before (by any prior call
+    sharing the cache) and otherwise by warm-started branch and bound.
 
     Values are bit-identical to the reference
     :func:`~repro.algorithms.optimal.opt_total_scan`.
@@ -368,8 +376,8 @@ def opt_total(
             for parity testing and benchmarking.
 
     Raises:
-        SolverLimitError: propagated from :func:`bin_packing_min_bins` if an
-            uncached slice exceeds the node budget.
+        SolverLimitError: if the branch and bound of an uncached residue
+            slice exceeds the node budget.
         DeadlineExceeded: if ``deadline`` expires before the sweep finishes.
     """
     if not items:
@@ -484,7 +492,7 @@ class AdversaryOracle:
         """Exact ``OPT_total(items)``, incrementally when possible.
 
         Raises:
-            SolverLimitError: if an uncached slice exceeds the node budget;
+            SolverLimitError: if an uncached residue slice exceeds the node budget;
                 the remembered baseline is left unchanged in that case.
         """
         if not items:

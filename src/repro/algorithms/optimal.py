@@ -10,9 +10,10 @@ active at time ``t`` can be packed — a classical (static) bin packing
 instance.  The production solver for the integral lives in
 :mod:`repro.algorithms.adversary` (sweep line + memoization + warm starts);
 this module keeps the building blocks: the exact classical solver
-:func:`bin_packing_min_bins` (branch and bound with first-fit-decreasing
-upper bounds, the L2 lower bound of Martello & Toth, closing perfect-fit
-dominance and optional warm-started upper bounds), its
+:func:`bin_packing_min_bins` (Prop 3 certificate → FFD → branch and bound
+on the residue, with closing perfect-fit dominance and optional
+warm-started upper bounds), the private certificate and search entry
+points the adversary calls on presorted slices, its
 :class:`SolverStats` observability counters, and
 :func:`opt_total_scan` — the straightforward one-rescan-per-interval
 reference implementation that benches and parity tests compare against.
@@ -27,7 +28,9 @@ algorithms sit between the two.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Mapping, Sequence
+import math
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..core.bins import Bin
 from ..core.exceptions import SolverLimitError, ValidationError
@@ -47,19 +50,35 @@ __all__ = [
 ]
 
 
-#: Counter cells behind :class:`SolverStats`, in declaration (report) order.
-SOLVER_FIELDS = (
-    "nodes",
-    "lb_prunes",
-    "dominance_hits",
-    "warm_start_hits",
-    "memo_hits",
-    "memo_misses",
-    "slices",
-    "slices_reused",
-    "incremental_evals",
-    "full_evals",
-)
+#: Counter cells behind :class:`SolverStats`, in declaration (report) order,
+#: with the doc of each attribute view.
+_SOLVER_DOCS = {
+    "nodes": "Branch-and-bound nodes expanded.",
+    "lb_prunes": "In-tree branches cut because the continuous bound met the incumbent.",
+    "dominance_hits": "Closing perfect-fit dominance applications.",
+    "warm_start_hits": "Searches whose warm-started upper bound beat the FFD bound.",
+    "memo_hits": "Residue slices answered from the memo cache.",
+    "memo_misses": "Residue slices that had to be searched.",
+    "slices": "Elementary intervals processed by ``opt_total``.",
+    "slices_reused": "Slices an incremental re-evaluation copied from the previous one.",
+    "incremental_evals": "Oracle evaluations served by the incremental path.",
+    "full_evals": "Evaluations that swept the whole timeline.",
+    "certified": "Instances answered by the Prop 3 certificate, without search.",
+}
+SOLVER_FIELDS = tuple(_SOLVER_DOCS)
+
+
+def _counter_view(name: str) -> property:
+    """Read/write attribute over the ``_<name>`` counter cell."""
+    slot = f"_{name}"
+
+    def get(self: "SolverStats") -> int:
+        return getattr(self, slot).value
+
+    def put(self: "SolverStats", value: int) -> None:
+        getattr(self, slot).value = value
+
+    return property(get, put, doc=_SOLVER_DOCS[name])
 
 
 class SolverStats:
@@ -76,15 +95,15 @@ class SolverStats:
 
     Attributes:
         nodes: Branch-and-bound nodes expanded.
-        lb_prunes: Branches cut because a lower bound met the incumbent
-            (the L2 bound at the root, the continuous bound inside the tree).
+        lb_prunes: Branches cut inside the search tree because the
+            continuous bound met the incumbent.
         dominance_hits: Closing perfect-fit dominance applications (the
             current item filled a bin that no two further items could enter,
             so all sibling branches were skipped).
-        warm_start_hits: Solves whose warm-started upper bound (previous
+        warm_start_hits: Searches whose warm-started upper bound (previous
             slice's optimum plus its arrivals) beat the FFD bound.
-        memo_hits: Slice instances answered from the memo cache.
-        memo_misses: Slice instances that had to be solved.
+        memo_hits: Residue slices (not certified) answered from the memo.
+        memo_misses: Residue slices that had to be searched.
         slices: Elementary intervals processed by ``opt_total``.
         slices_reused: Slices an incremental re-evaluation copied verbatim
             from the previous evaluation (no rescan, no memo lookup).
@@ -92,144 +111,45 @@ class SolverStats:
             (mutation-window) path.
         full_evals: Oracle / ``opt_total`` evaluations that swept the whole
             timeline.
+        certified: Instances answered by the Prop 3 certificate — the
+            lower bound met the warm upper bound or the FFD count — with no
+            memo lookup and no search.
         solve_latency: Per-solve latency :class:`~repro.obs.Histogram` of
-            the uncached :func:`bin_packing_min_bins` calls issued by the
-            sweep (recorded only while telemetry timing is enabled; not part
-            of :meth:`as_dict`).
+            the branch-and-bound searches the sweep runs on residue memo
+            misses (recorded only while telemetry timing is enabled; not
+            part of :meth:`as_dict`).
         registry: The backing :class:`~repro.obs.TelemetryRegistry`.
     """
 
     __slots__ = ("registry", "_solve_latency") + tuple(f"_{name}" for name in SOLVER_FIELDS)
 
-    def __init__(
-        self,
-        nodes: int = 0,
-        lb_prunes: int = 0,
-        dominance_hits: int = 0,
-        warm_start_hits: int = 0,
-        memo_hits: int = 0,
-        memo_misses: int = 0,
-        slices: int = 0,
-        slices_reused: int = 0,
-        incremental_evals: int = 0,
-        full_evals: int = 0,
-        *,
-        registry: TelemetryRegistry | None = None,
-    ) -> None:
+    def __init__(self, *, registry: TelemetryRegistry | None = None, **initial: int) -> None:
         self.registry = registry if registry is not None else TelemetryRegistry()
-        initial = (
-            nodes,
-            lb_prunes,
-            dominance_hits,
-            warm_start_hits,
-            memo_hits,
-            memo_misses,
-            slices,
-            slices_reused,
-            incremental_evals,
-            full_evals,
-        )
-        for name, value in zip(SOLVER_FIELDS, initial):
+        for name in SOLVER_FIELDS:
             cell = self.registry.counter(f"solver.{name}")
-            cell.value += int(value)
+            cell.value += int(initial.pop(name, 0))
             setattr(self, f"_{name}", cell)
+        if initial:
+            raise TypeError(f"unknown SolverStats fields: {sorted(initial)}")
         self._solve_latency = self.registry.histogram("solver.solve_latency")
 
-    # -- the legacy attribute API (thin views over the registry cells) -------
+    # -- the attribute API (thin views over the registry cells) --------------
 
-    @property
-    def nodes(self) -> int:
-        """Branch-and-bound nodes expanded."""
-        return self._nodes.value
-
-    @nodes.setter
-    def nodes(self, value: int) -> None:
-        self._nodes.value = value
-
-    @property
-    def lb_prunes(self) -> int:
-        """Branches cut because a lower bound met the incumbent."""
-        return self._lb_prunes.value
-
-    @lb_prunes.setter
-    def lb_prunes(self, value: int) -> None:
-        self._lb_prunes.value = value
-
-    @property
-    def dominance_hits(self) -> int:
-        """Closing perfect-fit dominance applications."""
-        return self._dominance_hits.value
-
-    @dominance_hits.setter
-    def dominance_hits(self, value: int) -> None:
-        self._dominance_hits.value = value
-
-    @property
-    def warm_start_hits(self) -> int:
-        """Solves whose warm-started upper bound beat the FFD bound."""
-        return self._warm_start_hits.value
-
-    @warm_start_hits.setter
-    def warm_start_hits(self, value: int) -> None:
-        self._warm_start_hits.value = value
-
-    @property
-    def memo_hits(self) -> int:
-        """Slice instances answered from the memo cache."""
-        return self._memo_hits.value
-
-    @memo_hits.setter
-    def memo_hits(self, value: int) -> None:
-        self._memo_hits.value = value
-
-    @property
-    def memo_misses(self) -> int:
-        """Slice instances that had to be solved."""
-        return self._memo_misses.value
-
-    @memo_misses.setter
-    def memo_misses(self, value: int) -> None:
-        self._memo_misses.value = value
-
-    @property
-    def slices(self) -> int:
-        """Elementary intervals processed by ``opt_total``."""
-        return self._slices.value
-
-    @slices.setter
-    def slices(self, value: int) -> None:
-        self._slices.value = value
-
-    @property
-    def slices_reused(self) -> int:
-        """Slices an incremental re-evaluation copied from the previous one."""
-        return self._slices_reused.value
-
-    @slices_reused.setter
-    def slices_reused(self, value: int) -> None:
-        self._slices_reused.value = value
-
-    @property
-    def incremental_evals(self) -> int:
-        """Oracle evaluations served by the incremental path."""
-        return self._incremental_evals.value
-
-    @incremental_evals.setter
-    def incremental_evals(self, value: int) -> None:
-        self._incremental_evals.value = value
-
-    @property
-    def full_evals(self) -> int:
-        """Evaluations that swept the whole timeline."""
-        return self._full_evals.value
-
-    @full_evals.setter
-    def full_evals(self, value: int) -> None:
-        self._full_evals.value = value
+    nodes = _counter_view("nodes")
+    lb_prunes = _counter_view("lb_prunes")
+    dominance_hits = _counter_view("dominance_hits")
+    warm_start_hits = _counter_view("warm_start_hits")
+    memo_hits = _counter_view("memo_hits")
+    memo_misses = _counter_view("memo_misses")
+    slices = _counter_view("slices")
+    slices_reused = _counter_view("slices_reused")
+    incremental_evals = _counter_view("incremental_evals")
+    full_evals = _counter_view("full_evals")
+    certified = _counter_view("certified")
 
     @property
     def solve_latency(self) -> Histogram:
-        """Per-solve latency distribution of uncached classical solves."""
+        """Per-search latency distribution of residue branch and bound."""
         return self._solve_latency
 
     # -- aggregation and serialisation ---------------------------------------
@@ -240,7 +160,11 @@ class SolverStats:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, int]) -> "SolverStats":
-        """Rebuild stats from :meth:`as_dict` output (JSON round-trip)."""
+        """Rebuild stats from :meth:`as_dict` output (JSON round-trip).
+
+        Missing fields read as 0, so records written before a counter
+        existed (e.g. sweep journals without ``certified``) still load.
+        """
         return cls(**{k: int(v) for k, v in data.items()})
 
     def merge(self, other: "SolverStats") -> None:
@@ -264,14 +188,14 @@ class SolverStats:
 # ---------------------------------------------------------------------------
 
 
-def _ffd_bins(sizes: Sequence[float], tol: float, *, presorted: bool = False) -> int:
+def _ffd_bins(sizes: Iterable[float], tol: float, *, presorted: bool = False) -> int:
     """First-Fit-Decreasing upper bound on the optimal bin count.
 
     Args:
         sizes: Item sizes.
         tol: Capacity tolerance.
-        presorted: Set when ``sizes`` is already in decreasing order to skip
-            the re-sort (the exact solver sorts once and reuses the order).
+        presorted: Set when ``sizes`` is already in decreasing order (e.g. a
+            reversed ascending slice) to skip the sort.
     """
     levels: list[float] = []
     ordered = sizes if presorted else sorted(sizes, reverse=True)
@@ -285,100 +209,60 @@ def _ffd_bins(sizes: Sequence[float], tol: float, *, presorted: bool = False) ->
     return len(levels)
 
 
-def _l2_lower_bound(sizes: Sequence[float], tol: float) -> int:
-    """Martello–Toth L2 lower bound on the optimal bin count.
+def _certificate(
+    ascending: Sequence[float], upper_bound: int | None, tol: float
+) -> tuple[int | None, int]:
+    """Settle a non-empty ascending multiset without search, if possible.
 
-    For each threshold ``k`` in the item sizes, items larger than ``1-k``
-    cannot share a bin with each other or with items of size ≥ k beyond
-    capacity; the bound maximises over thresholds.  Always ≥ ⌈Σ sizes⌉ - free
-    (we take the max with the continuous bound explicitly).
+    The Proposition 3 lower bound is the larger of the continuous bound ⌈S⌉
+    and the number of items above one half, no two of which share a bin.
+    Returns ``(count, ffd)``: ``count`` is the exact optimum when the bound
+    meets ``upper_bound`` (checked first, so FFD is skipped) or the FFD
+    count, and ``None`` otherwise; ``ffd`` is then the FFD count, the
+    incumbent :func:`_branch_and_bound` starts from.
     """
-    if not sizes:
-        return 0
-    ssorted = sorted(sizes, reverse=True)
-    total = sum(ssorted)
-    best = max(1, -int(-(total - tol) // 1))  # ceil with tolerance
-    for k in {s for s in ssorted if s <= 0.5 + tol}:
-        big = [s for s in ssorted if s > 1.0 - k + tol]
-        mid = [s for s in ssorted if k - tol <= s <= 1.0 - k + tol]
-        if not big and not mid:
-            continue
-        # Items > 1-k each need their own bin; mid items only fit into the
-        # big bins' leftover capacity, the rest need ⌈·⌉ additional bins.
-        overflow = sum(mid) - sum(1.0 - s for s in big)
-        cand = len(big) + max(0, -int(-(overflow - tol) // 1))
-        best = max(best, cand)
-    return best
+    # The sum is taken afresh from the slice's own sizes, never carried
+    # between slices, so rounding drift cannot inflate the bound.  A bin
+    # accepts items up to level 1 + tol, so the total is divided by that
+    # capacity: ⌈S − tol⌉ alone would claim 3 bins for (½, ½, ½+tol, ½+tol),
+    # which fits two bins filled to exactly 1 + tol.
+    lb = max(
+        math.ceil((sum(ascending) - tol) / (1.0 + tol)),
+        len(ascending) - bisect_right(ascending, 0.5 + tol),
+    )
+    if upper_bound is not None and lb >= upper_bound:
+        return upper_bound, upper_bound
+    ffd = _ffd_bins(reversed(ascending), tol, presorted=True)
+    return (ffd if lb >= ffd else None), ffd
 
 
-def bin_packing_min_bins(
-    sizes: Sequence[float],
+def _branch_and_bound(
+    order: Sequence[float],
+    ffd: int,
+    upper_bound: int | None,
     *,
-    tol: float = DEFAULT_TOL,
-    max_nodes: int = 2_000_000,
-    upper_bound: int | None = None,
-    stats: SolverStats | None = None,
-    deadline: "Deadline | None" = None,
+    tol: float,
+    max_nodes: int,
+    stats: SolverStats | None,
+    deadline: "Deadline | None",
 ) -> int:
-    """Exact minimum number of unit bins for the given sizes.
+    """Exact optimum of a non-empty multiset given in decreasing order.
 
-    Branch and bound: items in decreasing size order; each item goes into an
-    existing bin (distinct levels only, to break symmetry) or one new bin.
-    Two refinements tighten the search without affecting exactness:
-
-    * **Warm start** — a caller that already knows a valid upper bound (the
-      adversary sweep derives one from the previous slice's optimum) passes
-      it via ``upper_bound``; when it beats the FFD bound it becomes the
-      initial incumbent, so pruning bites from the first node.
-    * **Closing perfect-fit dominance** — when the current item fits a bin
-      whose residual capacity cannot hold two further items, placing it
-      there is provably optimal (exchange argument: any set the adversary
-      puts there instead is a single item no larger than the current one),
-      so all sibling branches are skipped.
-
-    Args:
-        sizes: Item sizes, each in (0, 1].
-        tol: Capacity tolerance.
-        max_nodes: Search-node budget.
-        upper_bound: Optional externally-known valid upper bound on the
-            optimum (must be achievable, e.g. derived from a feasible
-            packing); the returned value is still the exact optimum.
-        stats: Optional :class:`SolverStats` to increment in place.
-        deadline: Optional wall-clock :class:`~repro.resilience.Deadline`
-            checked at entry and every 1024 search nodes; expiry raises
-            :class:`~repro.core.DeadlineExceeded` carrying the best
-            feasible count found so far.
-
-    Raises:
-        ValidationError: if any size is outside (0, 1].
-        SolverLimitError: if the node budget is exhausted before proving
-            optimality (carries the best feasible value found).
-        DeadlineExceeded: if ``deadline`` expires first.
+    The search behind :func:`bin_packing_min_bins`, without its validation
+    and sort: the adversary calls it directly on the residue slices the
+    certificate left open.  The incumbent starts at ``ffd``, or at
+    ``upper_bound`` when that is smaller (a warm start).
     """
-    for s in sizes:
-        if not (0.0 < s <= 1.0 + tol):
-            raise ValidationError(f"size out of range (0, 1]: {s}")
-    if not sizes:
-        return 0
-    if deadline is not None:
-        deadline.check("bin_packing_min_bins")
-    order = sorted(sizes, reverse=True)
     n = len(order)
-    best = _ffd_bins(order, tol, presorted=True)
-    if upper_bound is not None and upper_bound < best:
-        best = upper_bound
+    best_found = ffd
+    if upper_bound is not None and upper_bound < ffd:
+        best_found = upper_bound
         if stats is not None:
             stats.warm_start_hits += 1
-    lb = _l2_lower_bound(order, tol)
-    if lb >= best:
-        if stats is not None:
-            stats.lb_prunes += 1
-        return best
     suffix = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + order[i]
     nodes = 0
-    best_found = best
     smallest = order[-1]
     # A bin whose total residual is below this can receive at most one more
     # item in any completion — the closing perfect-fit dominance condition.
@@ -402,9 +286,11 @@ def bin_packing_min_bins(
         if i == n:
             best_found = min(best_found, len(levels))
             return
-        # Continuous lower bound on the completed solution.
-        waste = sum(1.0 - lvl for lvl in levels)
-        lower = len(levels) + max(0, -int(-((suffix[i] - waste) - tol) // 1))
+        # Continuous lower bound on the completed solution: the remaining
+        # sizes fill the open bins up to level 1 + tol, then new bins of
+        # that capacity (the same tolerance rule as :func:`_certificate`).
+        free = len(levels) * (1.0 + tol) - sum(levels)
+        lower = len(levels) + max(0, math.ceil((suffix[i] - free - tol) / (1.0 + tol)))
         if lower >= best_found:
             if stats is not None:
                 stats.lb_prunes += 1
@@ -433,14 +319,80 @@ def bin_packing_min_bins(
             search(i + 1, levels)
             levels.pop()
 
-    try:
-        search(0, [])
-    except SolverLimitError:
-        raise
-    else:
-        if stats is not None:
-            stats.nodes += nodes
+    search(0, [])
+    if stats is not None:
+        stats.nodes += nodes
     return best_found
+
+
+def bin_packing_min_bins(
+    sizes: Sequence[float],
+    *,
+    tol: float = DEFAULT_TOL,
+    max_nodes: int = 2_000_000,
+    upper_bound: int | None = None,
+    stats: SolverStats | None = None,
+    deadline: "Deadline | None" = None,
+) -> int:
+    """Exact minimum number of unit bins for the given sizes.
+
+    The same pipeline as one adversary slice, minus the memo:
+
+    * **Prop 3 certificate** — the lower bound max(⌈S⌉, #items > ½) is
+      compared with the warm ``upper_bound`` first, then with the
+      First-Fit-Decreasing count; when it meets either, that bound is the
+      optimum and no search runs (``stats.certified``).
+    * **Branch and bound** on the residue — items in decreasing size order;
+      each goes into an existing bin (distinct levels only, to break
+      symmetry) or one new bin.  The incumbent starts at the smaller of FFD
+      and ``upper_bound`` (``warm_start_hits`` when the latter wins).
+      **Closing perfect-fit dominance** tightens the search: when the
+      current item fits a bin whose residual capacity cannot hold two
+      further items, placing it there is provably optimal (exchange
+      argument: any set the adversary puts there instead is a single item
+      no larger than the current one), so all sibling branches are skipped.
+
+    Args:
+        sizes: Item sizes, each in (0, 1].
+        tol: Capacity tolerance.
+        max_nodes: Search-node budget.
+        upper_bound: Optional externally-known valid upper bound on the
+            optimum (must be achievable, e.g. derived from a feasible
+            packing); the returned value is still the exact optimum.
+        stats: Optional :class:`SolverStats` to increment in place.
+        deadline: Optional wall-clock :class:`~repro.resilience.Deadline`
+            checked at entry and every 1024 search nodes; expiry raises
+            :class:`~repro.core.DeadlineExceeded` carrying the best
+            feasible count found so far.
+
+    Raises:
+        ValidationError: if any size is outside (0, 1].
+        SolverLimitError: if the node budget is exhausted before proving
+            optimality (carries the best feasible value found).
+        DeadlineExceeded: if ``deadline`` expires first.
+    """
+    for s in sizes:
+        if not (0.0 < s <= 1.0 + tol):
+            raise ValidationError(f"size out of range (0, 1]: {s}")
+    if not sizes:
+        return 0
+    if deadline is not None:
+        deadline.check("bin_packing_min_bins")
+    ascending = sorted(sizes)
+    count, ffd = _certificate(ascending, upper_bound, tol)
+    if count is not None:
+        if stats is not None:
+            stats.certified += 1
+        return count
+    return _branch_and_bound(
+        ascending[::-1],
+        ffd,
+        upper_bound,
+        tol=tol,
+        max_nodes=max_nodes,
+        stats=stats,
+        deadline=deadline,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,7 @@ class TestSolverStats:
             "slices_reused",
             "incremental_evals",
             "full_evals",
+            "certified",
         }
 
     def test_exposed_via_analysis(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from repro.algorithms import (
     opt_total_scan,
     optimal_packing,
 )
+from repro.algorithms.adversary import MemoCache, _slice_count
 from repro.algorithms.optimal import _ffd_bins
 from repro.bounds import best_lower_bound
 from repro.core import Interval, Item, ItemList, SolverLimitError, ValidationError
@@ -87,15 +90,143 @@ class TestBinPackingMinBins:
         sizes = [0.41, 0.36, 0.23] * 2
         exact = bin_packing_min_bins(sizes)
         stats = SolverStats()
-        # A loose-but-valid external bound must not change the optimum.
+        # A tight external bound meets the Prop 3 bound (S = 2): certified
+        # before FFD or any search runs.
         assert bin_packing_min_bins(sizes, upper_bound=exact, stats=stats) == exact
-        assert stats.warm_start_hits == 1  # beats the 3-bin FFD incumbent
+        assert stats.certified == 1 and stats.nodes == 0
+        # Here OPT = 7 lies strictly between the bound (6) and FFD (8), so
+        # the search runs and starts from the warm bound, not FFD.
+        sizes = [0.29, 0.3, 0.32, 0.34, 0.37, 0.38, 0.4, 0.42, 0.45, 0.51, 0.72, 0.73, 0.77]
+        assert _ffd_bins(sizes, 1e-9) == 8
+        stats = SolverStats()
+        assert bin_packing_min_bins(sizes, upper_bound=7, stats=stats) == 7
+        assert stats.warm_start_hits == 1 and stats.certified == 0
+        # A loose-but-valid external bound must not change the optimum.
+        assert bin_packing_min_bins(sizes, upper_bound=9) == 7
 
     def test_stats_count_nodes_and_prunes(self):
         stats = SolverStats()
         bin_packing_min_bins([0.41, 0.36, 0.23] * 2, stats=stats)
         assert stats.nodes > 0
         assert stats.lb_prunes + stats.dominance_hits > 0
+
+
+TOL = 1e-9
+
+
+def partition_min_bins(sizes, tol=TOL):
+    """Independent oracle: fewest feasible blocks over all set partitions.
+
+    A block is feasible when its exactly rounded sum is at most ``1 + tol``.
+    Every partition of the items into blocks is enumerated (restricted
+    growth: item ``i`` joins an earlier block or opens the next one), with
+    no bounds, no sorting and no heuristic incumbent.
+    """
+    best = len(sizes)
+
+    def assign(i, blocks):
+        nonlocal best
+        if i == len(sizes):
+            if all(math.fsum(b) <= 1.0 + tol for b in blocks):
+                best = min(best, len(blocks))
+            return
+        for block in blocks:
+            block.append(sizes[i])
+            assign(i + 1, blocks)
+            block.pop()
+        blocks.append([sizes[i]])
+        assign(i + 1, blocks)
+        blocks.pop()
+
+    assign(0, [])
+    return best
+
+
+#: Tolerance edge cases: the optimum hinges on whether a bin may hold
+#: exactly ``1 + tol`` and on sums a hair above an integer.
+EDGE_CASES = {
+    "halves": [0.5, 0.5],
+    "half_and_half_plus_tol": [0.5, 0.5 + TOL],
+    "half_and_half_plus_2tol": [0.5, 0.5 + 2 * TOL],
+    "two_half_plus_tol": [0.5 + TOL, 0.5 + TOL],
+    "two_half_plus_2tol": [0.5 + 2 * TOL, 0.5 + 2 * TOL],
+    "halves_mixed": [0.5, 0.5, 0.5 + TOL, 0.5 + TOL],
+    "halves_three_kinds": [0.5, 0.5 + TOL, 0.5 + 2 * TOL, 0.25, 0.25],
+    "sum_k": [0.6, 0.4, 0.7, 0.3],
+    "sum_k_plus_half_tol": [0.6, 0.4, 0.7, 0.3 + TOL / 2],
+    "sum_k_plus_2tol_one_bin": [0.6, 0.4, 0.7, 0.3 + 2 * TOL],
+    # Σ = 2 + 2·tol, yet two bins of level exactly 1 + tol hold it: a
+    # continuous bound of ⌈Σ − tol⌉ = 3 would certify a warm bound of 3.
+    "sum_k_plus_2tol_spread": [0.6, 0.4 + TOL, 0.7, 0.3 + TOL],
+    "sum_1_plus_2tol": [0.3, 0.3, 0.4 + 2 * TOL],
+    # FFD needs 3 bins, the optimum 2 exploits the tolerance in both bins.
+    "sum_k_plus_2tol_ffd_trap": [0.41 + TOL, 0.36, 0.23, 0.41, 0.36, 0.23 + TOL],
+    "all_above_half": [0.6, 0.7, 0.8, 0.5 + 2 * TOL],
+    "all_just_above_half": [0.5 + 2 * TOL] * 4,
+    "single_full": [1.0],
+    "full_and_dust": [1.0, 1.0, TOL / 2],
+    "ffd_trap": [0.41, 0.36, 0.23] * 2,
+    "eight_items": [0.5, 0.5 + TOL, 0.25, 0.25, 0.125, 0.375, 0.625, 0.375],
+}
+
+
+def _slice_path(sizes, warm):
+    """The adversary's per-slice answer for ``sizes`` under warm bound ``warm``."""
+    return _slice_count(
+        tuple(sorted(sizes)),
+        warm,
+        tol=TOL,
+        max_nodes=2_000_000,
+        memo=MemoCache(),
+        stats=SolverStats(),
+    )
+
+
+class TestIndependentOracle:
+    """Both solver entry points against :func:`partition_min_bins`.
+
+    ``opt_total_scan`` shares the solver, so it cannot serve as the oracle.
+    """
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_tolerance_edge_cases(self, name):
+        sizes = EDGE_CASES[name]
+        opt = partition_min_bins(sizes)
+        assert bin_packing_min_bins(sizes) == opt
+        # Warm upper bounds at the optimum and above it.
+        for warm in sorted({opt, opt + 1, len(sizes)}):
+            assert bin_packing_min_bins(sizes, upper_bound=warm) == opt
+            assert _slice_path(sizes, warm) == opt
+
+    def test_random_multisets(self):
+        rng = np.random.default_rng(16)
+        menu = np.array(
+            [0.5, 0.5 + TOL, 0.5 + 2 * TOL, 0.25, 0.25 + TOL, 0.75, 1.0, 0.3, 0.4,
+             0.6, 0.7, 0.2 + TOL / 2, 0.41, 0.36, 0.23, 0.125]
+        )
+        for _ in range(150):
+            n = int(rng.integers(1, 9))
+            if rng.random() < 0.5:
+                sizes = [float(x) for x in rng.choice(menu, size=n)]
+            else:
+                sizes = [float(x) for x in rng.uniform(0.05, 0.7, size=n)]
+            opt = partition_min_bins(sizes)
+            assert bin_packing_min_bins(sizes) == opt, sizes
+            warm = int(rng.integers(opt, len(sizes) + 1))
+            assert _slice_path(sizes, warm) == opt, (sizes, warm)
+
+    def test_slice_path_counts_certified_and_residue(self):
+        stats = SolverStats()
+        memo = MemoCache()
+        ffd_trap = (0.23, 0.23, 0.36, 0.36, 0.41, 0.41)
+        tolerant_fit = (0.5, 0.5 + TOL, 0.6)
+        kw = dict(tol=TOL, max_nodes=2_000_000, memo=memo, stats=stats)
+        assert _slice_count(tolerant_fit, 3, **kw) == 2  # FFD meets the bound
+        assert _slice_count(ffd_trap, 2, **kw) == 2  # warm bound meets it
+        assert stats.certified == 2 and len(memo) == 0
+        assert _slice_count(ffd_trap, 3, **kw) == 2  # residue: searched
+        assert _slice_count(ffd_trap, 4, **kw) == 2  # residue: memo hit
+        assert (stats.memo_misses, stats.memo_hits, len(memo)) == (1, 1, 1)
 
 
 class TestOptTotal:

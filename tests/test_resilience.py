@@ -7,6 +7,7 @@ the system producing bounded, reproducible answers instead of dying.
 
 from __future__ import annotations
 
+import json
 import pickle
 import time
 
@@ -606,6 +607,27 @@ class TestChaosSweep:
         resumed = [o.from_checkpoint for o in second]
         assert resumed == [True, True, False, True]
         assert registry.counter("resilience.sweep.cells_resumed").value == 3
+
+    def test_checkpoint_resumes_journal_without_certified_counter(self, tmp_path):
+        # Journals written before SolverStats gained ``certified`` must still
+        # resume: the missing counter reads as 0, the others round-trip.
+        ck = tmp_path / "sweep.ndjson"
+        first = run_sweep(_tasks(2), executor="serial", checkpoint=str(ck))
+        assert all(o.solver.certified > 0 for o in first)
+        lines = []
+        for line in ck.read_text().splitlines():
+            record = json.loads(line)
+            del record["solver"]["certified"]
+            lines.append(json.dumps(record))
+        ck.write_text("\n".join(lines) + "\n")
+
+        resumed = run_sweep(_tasks(2), executor="serial", checkpoint=str(ck))
+        assert all(o.from_checkpoint for o in resumed)
+        assert [o.ratio for o in resumed] == [o.ratio for o in first]
+        for old, new in zip(first, resumed):
+            assert new.solver.certified == 0
+            expected = {**old.solver.as_dict(), "certified": 0}
+            assert new.solver.as_dict() == expected
 
     def test_checkpoint_ignores_changed_tasks(self, tmp_path):
         ck = tmp_path / "sweep.ndjson"
