@@ -14,35 +14,31 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import render_table
-from repro.core import Interval
-from repro.extensions import (
-    VectorClassifyByDuration,
-    VectorFirstFit,
-    VectorItem,
-    vector_demand_lower_bound,
-)
+from repro.algorithms import VectorClassifyByDuration, VectorFirstFit
+from repro.bounds import vector_demand_lower_bound
+from repro.core import Interval, Item
 
 
-def random_vector_items(n: int, seed: int) -> list[VectorItem]:
+def random_vector_items(n: int, seed: int) -> list[Item]:
     rng = np.random.default_rng(seed)
     items = []
     for i in range(n):
         left = float(rng.uniform(0, 40))
         length = float(rng.uniform(1, 10))
         sizes = tuple(rng.uniform(0.05, 0.45, 2))
-        items.append(VectorItem(i, sizes, Interval(left, left + length)))
+        items.append(Item(i, sizes, Interval(left, left + length)))
     return items
 
 
-def vector_retention(mu: float, phases: int) -> list[VectorItem]:
+def vector_retention(mu: float, phases: int) -> list[Item]:
     items = []
     nid = 0
     gap = 1.0 / (2 * phases)
     for j in range(phases):
         t = j * gap
-        items.append(VectorItem(nid, (0.02, 0.02), Interval(t, t + mu)))
+        items.append(Item(nid, (0.02, 0.02), Interval(t, t + mu)))
         nid += 1
-        items.append(VectorItem(nid, (0.98, 0.98), Interval(t, t + 1.0)))
+        items.append(Item(nid, (0.98, 0.98), Interval(t, t + 1.0)))
         nid += 1
     return items
 

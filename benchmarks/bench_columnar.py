@@ -2,10 +2,10 @@
 
 Engineering bench for the PR-7 columnar hot paths (not a paper exhibit).
 Three paired measurements, each asserting bit-identical results between the
-columnar path and its object-path reference in the same run:
+columnar path and its per-item reference in the same run:
 
-* **engine batching** — ``PackingSession.submit_many`` over an SoA
-  vector packer vs the per-item ``submit`` loop on a 1M-item trace
+* **engine batching** — ``PackingSession.submit_many`` over the
+  ``vector-first-fit`` packer vs the per-item ``submit`` loop on a 1M-item trace
   (acceptance floor: >=5x; ``--quick`` smoke floor on a small trace: >=2x),
   with placements, deterministic ``EngineStats`` fields and the final
   snapshot asserted equal;
@@ -48,8 +48,8 @@ def make_trace(n: int) -> ItemList:
 
 
 def scalar_run(items: ItemList) -> tuple[PackingSession, float]:
-    """Drive every item through per-item ``submit`` (the object path)."""
-    session = PackingSession("vector-first-fit", soa=True)
+    """Drive every item through per-item ``submit``."""
+    session = PackingSession("vector-first-fit")
     t0 = time.perf_counter()
     for item in items:
         session.submit(item)
@@ -65,7 +65,7 @@ def batched_run(items: ItemList, batch_size: int = BATCH) -> tuple[PackingSessio
     """
     whole = ArrivalBatch.from_items(list(items))
     ids, arr, dep, sizes = whole.ids, whole.arrivals, whole.departures, whole.sizes
-    session = PackingSession("vector-first-fit", soa=True)
+    session = PackingSession("vector-first-fit")
     t0 = time.perf_counter()
     for i in range(0, len(ids), batch_size):
         j = i + batch_size
@@ -200,7 +200,7 @@ def test_columnar(benchmark, report):
     rows = list(items)
 
     def one_batch():
-        session = PackingSession("vector-first-fit", soa=True)
+        session = PackingSession("vector-first-fit")
         session.submit_many(ArrivalBatch.from_items(rows))
         return session.result()
 

@@ -23,7 +23,7 @@ Subpackages:
 * :mod:`repro.cloud` — the job/server scheduling application layer;
 * :mod:`repro.analysis` — ratio sweeps, tables and the noise study;
 * :mod:`repro.resilience` — retry, deadlines, fault policies, checkpoints;
-* :mod:`repro.extensions` — multi-resource and flexible-job extensions.
+* :mod:`repro.extensions` — the flexible-job extension.
 """
 
 from .algorithms import (

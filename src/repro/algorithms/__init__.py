@@ -18,14 +18,18 @@ Non-clairvoyant baselines:
   :class:`LastFitPacker`, :class:`RandomFitPacker`,
   :class:`HybridFirstFitPacker` (Li et al. [17]).
 
-Vector (``d``-dimensional, paper §6) — dimension-generic, with the numpy SoA
-fit-check core behind the ``soa`` flag:
+Vector (``d``-dimensional, paper §6):
 
 * :class:`VectorFirstFit`, :class:`VectorClassifyByDuration`,
   :class:`VectorClassifyByDeparture` — registered as ``vector-first-fit``,
   ``vector-classify-duration``, ``vector-classify-departure`` with
-  any-dimensionality capability (``dims=None``); bit-identical to their
-  scalar counterparts at ``d=1``.
+  any-dimensionality capability (``dims=None``); at ``d=1`` they are their
+  scalar counterparts.
+
+Every first-fit packer above — ``first-fit``, the ``classify-*`` strategies,
+``hybrid-first-fit`` and the ``vector-*`` names — is a configuration of one
+dimension-generic core, :class:`ClassifiedFirstFit`, with one list-based
+placement loop.
 
 Exact solvers: :func:`bin_packing_min_bins`, :func:`opt_total` (the repacking
 adversary: sweep line + memoization + warm starts, see
@@ -78,13 +82,9 @@ from .adversary import (
     opt_total_incremental,
 )
 from .vector import (
-    VectorBin,
-    VectorClassifiedFirstFit,
     VectorClassifyByDeparture,
     VectorClassifyByDuration,
     VectorFirstFit,
-    VectorItem,
-    VectorPacking,
 )
 
 __all__ = [
@@ -127,11 +127,7 @@ __all__ = [
     "MemoCache",
     "default_memo",
     "opt_total_incremental",
-    "VectorBin",
-    "VectorClassifiedFirstFit",
     "VectorClassifyByDeparture",
     "VectorClassifyByDuration",
     "VectorFirstFit",
-    "VectorItem",
-    "VectorPacking",
 ]

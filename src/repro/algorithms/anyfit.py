@@ -25,6 +25,10 @@ same code is valid in both the clairvoyant and non-clairvoyant information
 models: for arrival-order packing the level of an open bin can only decrease
 in the item's future, hence "fits now" ⇔ "fits throughout" (cross-checked in
 tests against the full-interval fit check).
+
+First Fit itself is the one-category configuration of the first-fit core
+(:class:`~repro.algorithms.ClassifiedFirstFit`); :class:`AnyFitPacker` runs
+the other members over :class:`~repro.core.Bin` objects.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import numpy as np
 from ..core.bins import Bin
 from ..core.items import Item
 from .base import OnlinePacker, register_packer
+from .classified import ClassifiedFirstFit
 
 __all__ = [
     "AnyFitPacker",
@@ -70,13 +75,19 @@ class AnyFitPacker(OnlinePacker):
 
 
 @register_packer("first-fit")
-class FirstFitPacker(AnyFitPacker):
+class FirstFitPacker(ClassifiedFirstFit):
     """First Fit: earliest-opened accommodating bin (paper §5.2)."""
 
     name = "first-fit"
 
-    def choose(self, item: Item, candidates: Sequence[Bin]) -> Bin:
-        return candidates[0]
+    def __init__(self) -> None:  # scalar: no ``dims`` parameter in the registry
+        super().__init__()
+
+    def category_key(
+        self, arrival: float, departure: float, sizes: tuple[float, ...]
+    ) -> int:
+        """Single shared category: plain First Fit."""
+        return 0
 
 
 @register_packer("best-fit")

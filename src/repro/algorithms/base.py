@@ -178,11 +178,11 @@ class OnlinePacker(Packer):
         The default implementation is the scalar loop — it materialises each
         row as an :class:`~repro.core.Item` and routes it through
         :meth:`place`, retiring departed bins at every arrival exactly as the
-        streaming session does.  Columnar packers (the ``vector-*`` family
-        with SoA enabled) override this with an array-at-a-time fast path;
-        either way the placements are bit-identical to the scalar loop, which
-        is asserted by the parity battery in ``tests/test_engine.py`` and
-        ``benchmarks/bench_columnar.py``.
+        streaming session does.  The first-fit core
+        (:class:`~repro.algorithms.ClassifiedFirstFit`) overrides this with its
+        list-based placement loop, which builds no objects; either way the
+        placements equal the scalar loop's (``tests/test_engine.py``,
+        ``tests/test_first_fit_core.py``).
 
         The caller (``PackingSession.submit_many``) guarantees rows arrive in
         non-decreasing arrival order with unique, fresh ids.
@@ -193,7 +193,7 @@ class OnlinePacker(Packer):
         retired = 0
         for i in range(n):
             item = batch.item(i)
-            retired += len(self.retire_until(item.arrival))
+            retired += len(self.retire_indices(item.arrival))
             index = self.place(item)
             self._note_commit(index, item)
             indices[i] = index
@@ -210,11 +210,27 @@ class OnlinePacker(Packer):
     def bin_count(self) -> int:
         """Number of bins ever opened.
 
-        Equivalent to ``len(self.bins)`` but safe to call on the batch hot
-        path: packers that defer :class:`~repro.core.Bin` materialisation
-        (the SoA ``place_many`` fast path) can answer without flushing.
+        Equivalent to ``len(self.bins)`` but safe to call on the hot path:
+        the first-fit core builds its :class:`~repro.core.Bin` objects only
+        on demand and answers this without building them.
         """
         return len(self._close_times)
+
+    def open_bin_count(self) -> int:
+        """Size of the open-bin index (bins not yet retired).
+
+        Right after a placement at the arrival frontier this equals
+        ``len(open_bins_at(arrival))`` without building or sorting bins.
+        """
+        return len(self._open)
+
+    def assignment(self) -> dict[int, int]:
+        """Item id → bin index of everything placed so far."""
+        return {r.id: b.index for b in self.bins for r in b}
+
+    def usage_time(self) -> float:
+        """Total usage time of every bin opened so far."""
+        return sum(b.usage_time() for b in self.bins)
 
     def open_bin(self) -> Bin:
         """Open a fresh bin with the next index and return it."""
@@ -248,15 +264,15 @@ class OnlinePacker(Packer):
         if item.arrival > self._frontier:
             self._frontier = item.arrival
 
-    def retire_until(self, t: float) -> list[Bin]:
+    def retire_indices(self, t: float) -> list[int]:
         """Drop bins whose close time is ``<= t`` from the open set.
 
-        Returns the newly retired bins (in retirement order).  Uses the lazy
-        close-time heap: stale entries — from bins whose close time moved
-        after the entry was pushed — are skipped, so each entry is paid for
-        once, O(log n).
+        Returns the newly retired bin indices (in retirement order).  Uses
+        the lazy close-time heap: stale entries — from bins whose close time
+        moved after the entry was pushed — are skipped, so each entry is paid
+        for once, O(log n).
         """
-        retired: list[Bin] = []
+        retired: list[int] = []
         heap = self._retire_heap
         while heap and heap[0][0] <= t:
             close, index = heapq.heappop(heap)
@@ -264,7 +280,7 @@ class OnlinePacker(Packer):
                 continue  # stale: the bin's close time has since moved
             if index in self._open:
                 self._open.discard(index)
-                retired.append(self._bins[index])
+                retired.append(index)
         return retired
 
     def amend_last(self, bin_index: int, actual: Item) -> None:
@@ -294,12 +310,11 @@ class OnlinePacker(Packer):
         touches only open bins.  Queries strictly in the past fall back to
         the exact linear scan, since a bin may have usage gaps there.
         """
+        bins = self.bins
         if t >= self._frontier:
-            self.retire_until(t)
-            return [
-                self._bins[i] for i in sorted(self._open) if self._close_times[i] > t
-            ]
-        return [b for b in self._bins if b.is_open_at(t)]
+            self.retire_indices(t)
+            return [bins[i] for i in sorted(self._open) if self._close_times[i] > t]
+        return [b for b in bins if b.is_open_at(t)]
 
     # -- the decision ---------------------------------------------------------------
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 from ..core.exceptions import ValidationError
-from ..core.items import Item
 from .base import register_packer
 from .classified import ClassifiedFirstFit
 
@@ -57,17 +56,20 @@ class ClassifyByDepartureFirstFit(ClassifiedFirstFit):
         return cls(rho=math.sqrt(mu) * min_duration, origin=origin)
 
     def describe(self) -> str:
-        return f"classify-departure(rho={self.rho:g})"
+        return f"{self.name}(rho={self.rho:g})"
 
     def reset(self) -> None:
         super().reset()
         self._origin = self._fixed_origin
 
-    def category_of(self, item: Item) -> int:
+    def category_key(
+        self, arrival: float, departure: float, sizes: tuple[float, ...]
+    ) -> int:
+        """Departure-window category; the first arrival seen anchors ``origin``."""
         if self._origin is None:
-            self._origin = item.arrival
+            self._origin = arrival
         # Departure in (origin + (k-1)ρ, origin + kρ]  ⇒  k = ⌈(dep - origin)/ρ⌉.
-        offset = item.departure - self._origin
+        offset = departure - self._origin
         k = math.ceil(offset / self.rho)
         # Exact-boundary care: ceil of a float quotient can land one category
         # high when offset is an exact multiple of rho scaled through floats.

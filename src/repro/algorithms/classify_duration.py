@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 from ..core.exceptions import ValidationError
-from ..core.items import Item
 from .base import register_packer
 from .classified import ClassifiedFirstFit
 
@@ -89,13 +88,17 @@ class ClassifyByDurationFirstFit(ClassifiedFirstFit):
         return cls(alpha=mu ** (1.0 / n), base=min_duration)
 
     def describe(self) -> str:
-        return f"classify-duration(alpha={self.alpha:g})"
+        return f"{self.name}(alpha={self.alpha:g})"
 
     def reset(self) -> None:
         super().reset()
         self._base = self._fixed_base
 
-    def category_of(self, item: Item) -> int:
+    def category_key(
+        self, arrival: float, departure: float, sizes: tuple[float, ...]
+    ) -> int:
+        """Geometric duration category; the first duration seen anchors ``base``."""
+        duration = departure - arrival
         if self._base is None:
-            self._base = item.duration
-        return duration_category(item.duration, self._base, self.alpha)
+            self._base = duration
+        return duration_category(duration, self._base, self.alpha)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 from ..core.exceptions import ValidationError
-from ..core.items import Item
 from .base import register_packer
 from .classified import ClassifiedFirstFit
 from .classify_duration import duration_category
@@ -84,16 +83,20 @@ class CombinedClassifyFirstFit(ClassifiedFirstFit):
         self._base = self._fixed_base
         self._origin = self._fixed_origin
 
-    def category_of(self, item: Item) -> tuple[int, int]:
+    def category_key(
+        self, arrival: float, departure: float, sizes: tuple[float, ...]
+    ) -> tuple[int, int]:
+        """(duration class, category-local departure window)."""
+        duration = departure - arrival
         if self._base is None:
-            self._base = item.duration
+            self._base = duration
         if self._origin is None:
-            self._origin = item.arrival
-        i = duration_category(item.duration, self._base, self.alpha)
+            self._origin = arrival
+        i = duration_category(duration, self._base, self.alpha)
         # Category-local minimum duration and the Theorem-4-style width.
         delta_i = self._base * self.alpha ** (i - 1)
         rho_i = self.rho_scale * math.sqrt(self.alpha) * delta_i
-        offset = item.departure - self._origin
+        offset = departure - self._origin
         k = math.ceil(offset / rho_i)
         if (k - 1) * rho_i >= offset:
             k -= 1

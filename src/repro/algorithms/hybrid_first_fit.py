@@ -18,7 +18,6 @@ experimental configuration of size classes.
 from __future__ import annotations
 
 from ..core.exceptions import ValidationError
-from ..core.items import Item
 from .base import register_packer
 from .classified import ClassifiedFirstFit
 
@@ -46,9 +45,12 @@ class HybridFirstFitPacker(ClassifiedFirstFit):
     def describe(self) -> str:
         return f"hybrid-first-fit(K={self.num_classes})"
 
-    def category_of(self, item: Item) -> int:
+    def category_key(
+        self, arrival: float, departure: float, sizes: tuple[float, ...]
+    ) -> int:
+        """Harmonic size class of the (scalar) size."""
         # Smallest k with size > 1/(k+1)  ⇔  k = floor(1/size) unless exact.
         for k in range(1, self.num_classes):
-            if item.size > 1.0 / (k + 1):
+            if sizes[0] > 1.0 / (k + 1):
                 return k
         return self.num_classes

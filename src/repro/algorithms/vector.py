@@ -1,540 +1,59 @@
-"""First-class vector (multi-dimensional) packers — paper §6, promoted.
+"""Vector (multi-dimensional) packers — paper §6, first-class.
 
 The paper's §6 sketches MinUsageTime DBP with ``d``-dimensional resource
 demands (CPU/memory/network), the production case of the follow-up work on
-Dynamic Vector Bin Packing.  This module makes that setting a first-class
-citizen: the vector packers are ordinary :class:`~repro.algorithms.base.OnlinePacker`
-subclasses registered in the packer registry (``dims=None`` capability — any
-dimensionality, including the scalar ``d=1`` degenerate case), so they work
-everywhere scalar packers do — batch :meth:`~VectorFirstFit.pack`, the
-streaming :class:`~repro.engine.PackingSession`, the ``pack``/``serve``/
-``sweep`` CLI, :func:`~repro.analysis.measured_ratio` and
+Dynamic Vector Bin Packing.  The first-fit core
+(:class:`~repro.algorithms.ClassifiedFirstFit`) is dimension-generic, so the
+vector packers are its scalar configurations with the dimensionality left
+open: registered with ``dims=None`` capability (any dimensionality, including
+the scalar ``d=1`` case), they work everywhere scalar packers do — batch
+``pack``, the streaming :class:`~repro.engine.PackingSession`, the
+``pack``/``serve``/``sweep`` CLI, :func:`~repro.analysis.measured_ratio` and
 :func:`~repro.analysis.run_sweep`.
 
-**Degeneracy guarantee.**  Every vector packer at ``d=1`` produces
-bit-identical placements to its scalar counterpart (``vector-first-fit`` ↔
-``first-fit``, ``vector-classify-duration`` ↔ ``classify-duration``,
-``vector-classify-departure`` ↔ ``classify-departure``): the category
-functions are shared and the candidate scan uses the same order and the same
-tolerance arithmetic.  Property tests enforce this.
-
-**SoA feature flag.**  Each packer takes ``soa=True`` (or the
-``REPRO_VECTOR_SOA`` environment variable) to route the fit-check hot loop
-through the numpy struct-of-arrays core
-(:class:`~repro.core.SoAFitChecker`): one vectorised mask over contiguous
-``levels[dim, bin]`` arrays replaces per-bin per-dimension step-function
-bisections.  The flag is parity-gated — SoA and object paths must produce
-bit-identical placements (``benchmarks/bench_vector_fitcheck.py`` asserts
-this on a 1M-item 3-resource trace while measuring the speedup).  Batch
-:meth:`~VectorFirstFit.pack` with SoA enabled skips
-:class:`~repro.core.Bin` objects entirely; streaming placement keeps bins
-live (the session needs them for snapshots and results) and uses the SoA
-core for the fit decision only.
-
-The historical ``repro.extensions.multidim`` names (``VectorItem``,
-``VectorBin``, ``VectorPacking``) remain importable as aliases of the core
-types they grew into.
+At ``d=1`` each vector packer *is* its scalar counterpart (``vector-first-fit``
+↔ ``first-fit``, ``vector-classify-duration`` ↔ ``classify-duration``,
+``vector-classify-departure`` ↔ ``classify-departure``): same class, same
+category function, same placement loop.
 """
 
 from __future__ import annotations
 
-import abc
-import gc
-import heapq
-import math
-import os
-from typing import Iterable
-
-import numpy as np
-
-from ..core.batch import ArrivalBatch
-from ..core.bins import Bin
-from ..core.exceptions import ValidationError
-from ..core.items import Item, ItemList
-from ..core.packing import PackingResult
-from ..core.soa import IntVector, SoAFitChecker
-from ..core.stepfun import DEFAULT_TOL
 from ..bounds.opt_bounds import vector_ceil_lower_bound, vector_demand_lower_bound
-from .base import BatchPlacement, OnlinePacker, register_packer
-from .classify_duration import duration_category
+from .anyfit import FirstFitPacker
+from .base import register_packer
+from .classify_departure import ClassifyByDepartureFirstFit
+from .classify_duration import ClassifyByDurationFirstFit
 
 __all__ = [
-    "VectorClassifiedFirstFit",
     "VectorFirstFit",
     "VectorClassifyByDuration",
     "VectorClassifyByDeparture",
-    "VectorItem",
-    "VectorBin",
-    "VectorPacking",
     "vector_demand_lower_bound",
     "vector_ceil_lower_bound",
 ]
 
-#: Environment variable enabling the SoA fit-check core by default.
-SOA_ENV_VAR = "REPRO_VECTOR_SOA"
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def _soa_default() -> bool:
-    return os.environ.get(SOA_ENV_VAR, "").strip().lower() in _TRUTHY
-
-
-#: Compaction floor: candidate lists shorter than this are never compacted.
-_COMPACT_MIN = 64
-
-_NEG_INF = float("-inf")
-
-
-class VectorClassifiedFirstFit(OnlinePacker):
-    """Category-partitioned First Fit over ``d``-dimensional items.
-
-    The skeleton shared by every vector packer: items are classified at
-    arrival (:meth:`category_of`), and First Fit runs *within* each category
-    — the same model as the scalar
-    :class:`~repro.algorithms.ClassifiedFirstFit`, with the fit check
-    requiring every resource dimension to fit simultaneously.
-
-    Args:
-        dims: Item dimensionality this packer expects.  ``None`` (default)
-            infers it from the first item seen (re-inferred after each
-            :meth:`reset`).
-        soa: Route fit checks through the numpy SoA core
-            (:class:`~repro.core.SoAFitChecker`).  ``None`` reads the
-            ``REPRO_VECTOR_SOA`` environment variable.  Placements are
-            bit-identical either way (parity-gated).
-    """
-
-    def __init__(self, dims: int | None = None, soa: bool | None = None) -> None:
-        super().__init__()
-        if dims is not None and (isinstance(dims, bool) or dims < 1):
-            raise ValidationError(f"dims must be a positive integer, got {dims!r}")
-        self._declared_dims = dims
-        self.dims: int | None = dims
-        self.soa = _soa_default() if soa is None else bool(soa)
-        self._checker: SoAFitChecker | None = None
-        self._category_bins: dict[object, list[Bin]] = {}
-        self._category_slots: dict[object, IntVector] = {}
-        self._compact_at: dict[object, int] = {}
-        self._pending: list[tuple[ArrivalBatch, np.ndarray]] = []
-
-    def reset(self) -> None:
-        """Clear all state (and re-arm dimension inference) before a pack."""
-        super().reset()
-        self.dims = self._declared_dims
-        self._checker = None
-        self._category_bins = {}
-        self._category_slots = {}
-        self._compact_at = {}
-        self._pending = []
-
-    @abc.abstractmethod
-    def category_of(self, item: Item) -> object:
-        """The (hashable) category key of ``item``, decided at its arrival."""
-
-    def category_of_interval(self, arrival: float, departure: float) -> object:
-        """The category key from the item's times alone (columnar hot path).
-
-        The built-in vector packers classify by times only, so the batched
-        :meth:`place_many` fast path can compute categories straight from the
-        batch's arrival/departure arrays without materialising items.  A
-        subclass whose :meth:`category_of` reads sizes or tags should leave
-        this unimplemented — :meth:`place_many` then falls back to the scalar
-        loop, which classifies through :meth:`category_of` as usual.
-        """
-        raise NotImplementedError
-
-    # -- dimensionality ---------------------------------------------------------
-
-    def _resolve_dims(self, item: Item) -> int:
-        dims = self.dims
-        d = len(item.sizes)
-        if dims is None:
-            self.dims = dims = d
-        elif d != dims:
-            raise ValidationError(
-                f"item {item.id} has {d} dimension(s); "
-                f"packer {self.name!r} expects {dims}"
-            )
-        return dims
-
-    # -- SoA plumbing -----------------------------------------------------------
-
-    def _soa_checker(self, dims: int) -> SoAFitChecker:
-        ck = self._checker
-        if ck is None:
-            ck = self._checker = SoAFitChecker(dims)
-        return ck
-
-    def _soa_slots(self, key: object) -> IntVector:
-        slots = self._category_slots.get(key)
-        if slots is None:
-            slots = self._category_slots[key] = IntVector()
-            self._compact_at[key] = _COMPACT_MIN
-        return slots
-
-    def _maybe_compact(self, key: object, slots: IntVector, t: float) -> None:
-        if len(slots) >= self._compact_at[key]:
-            assert self._checker is not None
-            self._checker.compact(slots, t)
-            self._compact_at[key] = max(_COMPACT_MIN, 2 * len(slots))
-
-    def open_bin(self) -> Bin:
-        """Open a fresh bin, mirrored into the SoA core when enabled."""
-        b = super().open_bin()
-        if self._checker is not None:
-            self._checker.open_bin()
-        return b
-
-    # -- deferred bin materialisation (batch hot path) --------------------------
-
-    def _flush_pending(self) -> None:
-        """Materialise the bins and placements deferred by :meth:`place_many`.
-
-        The SoA batch path tracks bin state (levels, close times, retire
-        heap) in arrays only; :class:`~repro.core.Bin` objects are built here,
-        on the first access that actually needs them (results, snapshots,
-        scalar placements).  Placements are replayed in submission order, so
-        each bin's item sequence is exactly what the scalar path would have
-        produced.
-        """
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        bins = self._bins
-        dims = self.dims or 1
-        while len(bins) < len(self._close_times):
-            bins.append(Bin(len(bins), dims=dims))
-        for batch, indices in pending:
-            idx = indices.tolist()
-            for i, index in enumerate(idx):
-                bins[index].place(batch.item(i), check=False)
-
-    @property
-    def bins(self) -> list[Bin]:
-        """All bins ever opened, in opening order (flushes deferred state)."""
-        self._flush_pending()
-        return self._bins
-
-    def retire_until(self, t: float) -> list[Bin]:
-        """Retire closed bins, flushing deferred batch placements first."""
-        if self._pending:
-            self._flush_pending()
-        return super().retire_until(t)
-
-    def open_bins_at(self, t: float) -> list[Bin]:
-        """Open bins at ``t``, flushing deferred batch placements first."""
-        if self._pending:
-            self._flush_pending()
-        return super().open_bins_at(t)
-
-    def _note_commit(self, index: int, item: Item) -> None:
-        """Sync the open-bin index, keeping SoA close times amend-exact."""
-        super()._note_commit(index, item)
-        ck = self._checker
-        if ck is not None and index < ck.nbins:
-            ck.set_close(index, self._close_times[index])
-
-    def amend_last(self, bin_index: int, actual: Item) -> None:
-        """Amend the last commitment in both the bin and the SoA core."""
-        if self._pending:
-            self._flush_pending()
-        ck = self._checker
-        if ck is not None:
-            # The engine's contract: the amended item is the last one placed.
-            ck.amend_last(
-                np.asarray(actual.sizes, dtype=np.float64), actual.departure
-            )
-        super().amend_last(bin_index, actual)
-
-    # -- placement --------------------------------------------------------------
-
-    def place(self, item: Item) -> int:
-        """First Fit within the item's category, over all dimensions."""
-        if self._pending:
-            self._flush_pending()
-        dims = self._resolve_dims(item)
-        t = item.arrival
-        key = self.category_of(item)
-        if self.soa:
-            ck = self._soa_checker(dims)
-            ck.advance(t)
-            slots = self._soa_slots(key)
-            sizes = np.asarray(item.sizes, dtype=np.float64)
-            choice = ck.first_open_fit(sizes, t, slots.view())
-            if choice < 0:
-                b = self.open_bin()
-                slots.append(b.index)
-                ck.place(b.index, sizes, item.departure)
-                self._maybe_compact(key, slots, t)
-                return self.commit(b, item)
-            ck.place(choice, sizes, item.departure)
-            self._maybe_compact(key, slots, t)
-            return self.commit(self._bins[choice], item)
-        bins = self._category_bins.setdefault(key, [])
-        # First Fit in opening order, lazily pruning bins that are closed at
-        # the arrival frontier (once closed there, a bin never reopens: items
-        # are committed in arrival order, so its close time is final).  This
-        # keeps the scan O(open bins) instead of O(bins ever opened) without
-        # changing any placement.
-        kept = 0
-        choice: Bin | None = None
-        for b in bins:
-            if not b.is_open_at(t):
-                continue
-            bins[kept] = b
-            kept += 1
-            if choice is None and b.fits_at_arrival(item):
-                choice = b
-        del bins[kept:]
-        if choice is not None:
-            return self.commit(choice, item)
-        b = self.open_bin()
-        bins.append(b)
-        return self.commit(b, item)
-
-    def place_many(self, batch: ArrivalBatch) -> BatchPlacement:
-        """Columnar batch placement on the SoA core, deferring bin objects.
-
-        With SoA enabled and a times-only classifier
-        (:meth:`category_of_interval`), the whole batch runs on contiguous
-        arrays: fit checks and level updates go through
-        :class:`~repro.core.SoAFitChecker`, close times and the retire heap
-        are maintained directly, and :class:`~repro.core.Bin` objects are not
-        built until something needs them (:meth:`_flush_pending`).  Placements
-        are bit-identical to the scalar loop — same first-fit scan order, same
-        tolerance arithmetic, same retire schedule.
-
-        Falls back to the scalar-loop default when SoA is off or the
-        classifier needs whole items.
-        """
-        n = len(batch)
-        if not self.soa or n == 0:
-            return super().place_many(batch)
-        d = batch.dims
-        dims = self.dims
-        if dims is None:
-            self.dims = dims = d
-        elif d != dims:
-            raise ValidationError(
-                f"item {int(batch.ids[0])} has {d} dimension(s); "
-                f"packer {self.name!r} expects {dims}"
-            )
-        # Everything below (the bulk tolist conversions included) runs with
-        # collection paused: the batch allocates ~n containers while the
-        # session's live placement records number in the millions, so each
-        # generational pass triggered mid-batch costs milliseconds (same
-        # guard as the columnar loaders).  Size rows are kept as *tuples* —
-        # the collector untracks all-float tuples on its first visit, while
-        # lists stay tracked forever and would make every future full
-        # collection rescan one list per placed item.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            arrivals = batch.arrivals.tolist()
-            departures = batch.departures.tolist()
-            try:
-                keys = [
-                    self.category_of_interval(arrivals[i], departures[i])
-                    for i in range(n)
-                ]
-            except NotImplementedError:
-                return super().place_many(batch)
-            ck = self._soa_checker(dims)
-            # The whole loop runs on pure-Python mirrors (cursor + local
-            # slot lists): at a handful of open bins per category, scalar
-            # arithmetic with short-circuiting beats vectorised scans on
-            # per-call overhead while staying bit-identical (Python floats
-            # are IEEE float64).  The cursor's advance / first_open_fit /
-            # open_bin / place bodies are inlined below with its state bound
-            # as locals — at 1e6 items even one method call per item is
-            # measurable (see BatchCursor docstring).
-            cursor = ck.batch_cursor()
-            clevels = cursor.levels
-            lv0 = clevels[0]
-            ccloses = cursor.closes
-            cheap = cursor.heap
-            rec_bin = cursor.rec_bin
-            rec_sizes = cursor.rec_sizes
-            rec_dep = cursor.rec_departure
-            captol = cursor.captol
-            one_dim = dims == 1
-            rows = list(map(tuple, batch.sizes.tolist()))
-            close_times = self._close_times
-            heap = self._retire_heap
-            open_set = self._open
-            slots_of = self._category_slots
-            compact_at = self._compact_at
-            local_slots: dict[object, list[int]] = {}
-            heappop, heappush = heapq.heappop, heapq.heappush
-            indices: list[int] = [0] * n
-            opens: list[int] = [0] * n
-            retired = 0
-            for i in range(n):
-                t = arrivals[i]
-                # Count-only retire: same heap discipline as ``retire_until`` but
-                # without touching (possibly unmaterialised) Bin objects.
-                while heap and heap[0][0] <= t:
-                    close, index = heappop(heap)
-                    if close != close_times[index]:
-                        continue  # stale entry, close time has since moved
-                    if index in open_set:
-                        open_set.discard(index)
-                        retired += 1
-                # cursor.advance(t)
-                while cheap and cheap[0][0] <= t:
-                    departure, serial = heappop(cheap)
-                    if departure != rec_dep[serial]:
-                        continue  # stale: this placement's departure was amended
-                    rec_dep[serial] = _NEG_INF  # consumed
-                    index = rec_bin[serial]
-                    sizes = rec_sizes[serial]
-                    if one_dim:
-                        lv0[index] -= sizes[0]
-                    else:
-                        for d in range(dims):
-                            clevels[d][index] -= sizes[d]
-                key = keys[i]
-                slots = local_slots.get(key)
-                if slots is None:
-                    vec = slots_of.get(key)
-                    if vec is None:
-                        slots_of[key] = IntVector()
-                        compact_at[key] = _COMPACT_MIN
-                        slots = local_slots[key] = []
-                    else:
-                        slots = local_slots[key] = vec.view().tolist()
-                row = rows[i]
-                dep = departures[i]
-                # cursor.first_open_fit(row, t, slots)
-                choice = -1
-                if one_dim:
-                    s0 = row[0]
-                    for b in slots:
-                        if ccloses[b] > t and lv0[b] + s0 <= captol:
-                            choice = b
-                            break
-                else:
-                    for b in slots:
-                        if ccloses[b] > t:
-                            for d in range(dims):
-                                if clevels[d][b] + row[d] > captol:
-                                    break
-                            else:
-                                choice = b
-                                break
-                if choice < 0:
-                    # cursor.open_bin()
-                    for lv in clevels:
-                        lv.append(0.0)
-                    ccloses.append(_NEG_INF)
-                    choice = len(ccloses) - 1
-                    slots.append(choice)
-                    close_times.append(_NEG_INF)
-                # cursor.place(choice, row, dep)
-                if one_dim:
-                    lv0[choice] += row[0]
-                else:
-                    for d in range(dims):
-                        clevels[d][choice] += row[d]
-                if dep > ccloses[choice]:
-                    ccloses[choice] = dep
-                serial = len(rec_bin)
-                rec_bin.append(choice)
-                rec_sizes.append(row)
-                rec_dep.append(dep)
-                heappush(cheap, (dep, serial))
-                if dep > close_times[choice]:
-                    close_times[choice] = dep
-                    heappush(heap, (dep, choice))
-                open_set.add(choice)
-                indices[i] = choice
-                opens[i] = len(open_set)
-                if len(slots) >= compact_at[key]:
-                    # cursor.compact(slots, t)
-                    slots = local_slots[key] = [b for b in slots if ccloses[b] > t]
-                    compact_at[key] = max(_COMPACT_MIN, 2 * len(slots))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        cursor.clock = arrivals[-1]
-        cursor.flush()
-        for key, slots in local_slots.items():
-            slots_of[key].replace(np.asarray(slots, dtype=np.int64))
-        if arrivals[-1] > self._frontier:
-            self._frontier = arrivals[-1]
-        out = np.asarray(indices, dtype=np.int64)
-        self._pending.append((batch, out))
-        return BatchPlacement(
-            indices=out,
-            open_bins=np.asarray(opens, dtype=np.int64),
-            bins_retired=retired,
-        )
-
-    # -- batch packing ----------------------------------------------------------
-
-    def pack(self, items: "ItemList | Iterable[Item]") -> PackingResult:
-        """Pack all items; with SoA enabled, bins are never materialised.
-
-        Accepts a plain iterable of items (normalised to an
-        :class:`~repro.core.ItemList`) for convenience.  The SoA batch path
-        runs the whole arrival-order loop on the contiguous level arrays and
-        returns an assignment-only :class:`~repro.core.PackingResult`
-        (placements are bit-identical to the object path).
-        """
-        if not isinstance(items, ItemList):
-            items = ItemList(items)
-        if not self.soa:
-            return super().pack(items)
-        self.reset()
-        if self.dims is None:
-            self.dims = items.dims
-        dims = self.dims
-        ck = self._soa_checker(dims)
-        assignment: dict[int, int] = {}
-        for item in items:  # ItemList iterates in arrival order
-            if len(item.sizes) != dims:
-                raise ValidationError(
-                    f"item {item.id} has {len(item.sizes)} dimension(s); "
-                    f"packer {self.name!r} expects {dims}"
-                )
-            t = item.arrival
-            ck.advance(t)
-            key = self.category_of(item)
-            slots = self._soa_slots(key)
-            sizes = np.asarray(item.sizes, dtype=np.float64)
-            choice = ck.first_open_fit(sizes, t, slots.view())
-            if choice < 0:
-                choice = ck.open_bin()
-                slots.append(choice)
-            ck.place(choice, sizes, item.departure)
-            assignment[item.id] = choice
-            self._maybe_compact(key, slots, t)
-        return PackingResult(items, assignment, algorithm=self.describe())
-
 
 @register_packer("vector-first-fit", dims=None)
-class VectorFirstFit(VectorClassifiedFirstFit):
+class VectorFirstFit(FirstFitPacker):
     """First Fit over ``d``-dimensional items (single category).
 
     At ``d=1`` this is exactly the scalar ``first-fit`` packer: the single
     category makes the scan the plain earliest-opened-accommodating-bin rule.
+
+    Args:
+        dims: Expected dimensionality (``None`` infers from the first item).
     """
 
     name = "vector-first-fit"
 
-    def category_of(self, item: Item) -> object:
-        """Single shared category: plain First Fit."""
-        return 0
-
-    def category_of_interval(self, arrival: float, departure: float) -> object:
-        """Single shared category, regardless of times."""
-        return 0
+    def __init__(self, dims: int | None = None) -> None:
+        super().__init__()
+        self._declare_dims(dims)
 
 
 @register_packer("vector-classify-duration", dims=None)
-class VectorClassifyByDuration(VectorClassifiedFirstFit):
+class VectorClassifyByDuration(ClassifyByDurationFirstFit):
     """Classify-by-duration First Fit for vector items (paper §5.3 lifted).
 
     Duration classification reads only times, so it composes unchanged with
@@ -546,48 +65,19 @@ class VectorClassifyByDuration(VectorClassifiedFirstFit):
         base: Base duration; ``None`` anchors to the first item seen
             (re-anchored after each :meth:`reset`).
         dims: Expected dimensionality (``None`` infers from the first item).
-        soa: SoA fit-check flag (``None`` reads ``REPRO_VECTOR_SOA``).
     """
 
     name = "vector-classify-duration"
 
     def __init__(
-        self,
-        alpha: float,
-        base: float | None = None,
-        dims: int | None = None,
-        soa: bool | None = None,
+        self, alpha: float, base: float | None = None, dims: int | None = None
     ) -> None:
-        super().__init__(dims=dims, soa=soa)
-        if alpha <= 1:
-            raise ValidationError(f"alpha must exceed 1, got {alpha}")
-        self.alpha = alpha
-        self._fixed_base = base
-        self._base: float | None = base
-
-    def describe(self) -> str:
-        """Name plus the classification parameter."""
-        return f"vector-classify-duration(alpha={self.alpha:g})"
-
-    def reset(self) -> None:
-        """Clear state and re-anchor the duration base."""
-        super().reset()
-        self._base = self._fixed_base
-
-    def category_of(self, item: Item) -> int:
-        """Geometric duration category, identical to the scalar packer."""
-        return self.category_of_interval(item.arrival, item.departure)
-
-    def category_of_interval(self, arrival: float, departure: float) -> int:
-        """Duration category from the raw times (columnar hot path)."""
-        duration = departure - arrival
-        if self._base is None:
-            self._base = duration
-        return duration_category(duration, self._base, self.alpha)
+        super().__init__(alpha, base)
+        self._declare_dims(dims)
 
 
 @register_packer("vector-classify-departure", dims=None)
-class VectorClassifyByDeparture(VectorClassifiedFirstFit):
+class VectorClassifyByDeparture(ClassifyByDepartureFirstFit):
     """Classify-by-departure-time First Fit for vector items (§5.2 lifted).
 
     Departure windows read only times, so the strategy composes unchanged
@@ -599,69 +89,12 @@ class VectorClassifyByDeparture(VectorClassifiedFirstFit):
         origin: Classification time origin; ``None`` anchors to the arrival
             of the first item seen (re-anchored after each :meth:`reset`).
         dims: Expected dimensionality (``None`` infers from the first item).
-        soa: SoA fit-check flag (``None`` reads ``REPRO_VECTOR_SOA``).
     """
 
     name = "vector-classify-departure"
 
     def __init__(
-        self,
-        rho: float,
-        origin: float | None = None,
-        dims: int | None = None,
-        soa: bool | None = None,
+        self, rho: float, origin: float | None = None, dims: int | None = None
     ) -> None:
-        super().__init__(dims=dims, soa=soa)
-        if rho <= 0:
-            raise ValidationError(f"rho must be positive, got {rho}")
-        self.rho = rho
-        self._fixed_origin = origin
-        self._origin: float | None = origin
-
-    def describe(self) -> str:
-        """Name plus the classification parameter."""
-        return f"vector-classify-departure(rho={self.rho:g})"
-
-    def reset(self) -> None:
-        """Clear state and re-anchor the classification origin."""
-        super().reset()
-        self._origin = self._fixed_origin
-
-    def category_of(self, item: Item) -> int:
-        """Departure-window category, identical to the scalar packer."""
-        return self.category_of_interval(item.arrival, item.departure)
-
-    def category_of_interval(self, arrival: float, departure: float) -> int:
-        """Departure-window category from the raw times (columnar hot path)."""
-        if self._origin is None:
-            self._origin = arrival
-        # Departure in (origin + (k-1)ρ, origin + kρ]  ⇒  k = ⌈(dep - origin)/ρ⌉,
-        # with the same exact-boundary correction as the scalar packer.
-        offset = departure - self._origin
-        k = math.ceil(offset / self.rho)
-        if (k - 1) * self.rho >= offset:
-            k -= 1
-        return k
-
-
-# -- historical ``repro.extensions.multidim`` names --------------------------
-
-#: A vector item *is* a core :class:`~repro.core.Item` now (``sizes`` became
-#: the canonical field, with scalar ``size`` the d=1 accessor).
-VectorItem = Item
-
-#: A vector packing *is* a core :class:`~repro.core.PackingResult` now
-#: (validation and the usage objective are dimension-generic).
-VectorPacking = PackingResult
-
-
-class VectorBin(Bin):
-    """Historical multi-dimensional bin, now a thin :class:`~repro.core.Bin`.
-
-    Kept for the old ``repro.extensions.multidim`` constructor signature
-    ``VectorBin(index, dims, tol)``; new code should construct
-    ``Bin(index, dims=...)`` directly.
-    """
-
-    def __init__(self, index: int, dims: int, tol: float = DEFAULT_TOL) -> None:
-        super().__init__(index, tol=tol, dims=dims)
+        super().__init__(rho, origin)
+        self._declare_dims(dims)

@@ -77,8 +77,7 @@ def vector_demand_lower_bound(items: "ItemList | Iterable[Item]") -> float:
 
     ``OPT ≥ max(max_d Σ_r s_d(r)·l(I(r)), span(R))`` — the per-dimension
     demand maximum combined with the span bound.  Accepts any iterable of
-    (vector) items; kept as the historical ``repro.extensions.multidim``
-    entry point, now expressed through the dimension-generic core bounds.
+    (vector) items, expressed through the dimension-generic core bounds.
     """
     if not isinstance(items, ItemList):
         items = ItemList(items)

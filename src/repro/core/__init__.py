@@ -5,7 +5,6 @@ from .bins import Bin, bins_from_assignment
 from .events import (
     Event,
     EventArrays,
-    EventHeap,
     EventKind,
     SizeSlice,
     active_size_slices,
@@ -24,7 +23,6 @@ from .exceptions import (
 from .intervals import Interval, intersect_many, merge_intervals, span, total_length
 from .items import Item, ItemList
 from .packing import PackingResult, PackingStats
-from .soa import IntVector, SoAFitChecker
 from .stepfun import DEFAULT_TOL, StepFunction, iceil
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "bins_from_assignment",
     "Event",
     "EventArrays",
-    "EventHeap",
     "EventKind",
     "SizeSlice",
     "active_size_slices",
@@ -55,8 +52,6 @@ __all__ = [
     "ItemList",
     "PackingResult",
     "PackingStats",
-    "IntVector",
-    "SoAFitChecker",
     "DEFAULT_TOL",
     "StepFunction",
     "iceil",

@@ -7,9 +7,10 @@ input type that lets :meth:`~repro.engine.PackingSession.submit_many` and
 :meth:`~repro.algorithms.OnlinePacker.place_many` amortise all of that across
 a whole batch: ids, arrivals, departures and the ``(n, d)`` size matrix live
 in contiguous numpy arrays, so batch validation is a handful of vectorised
-reductions and the SoA fit-check core (:class:`~repro.core.SoAFitChecker`)
-can consume size rows directly without ever materialising
-:class:`~repro.core.Item` objects on the hot path.
+reductions and the first-fit core
+(:class:`~repro.algorithms.ClassifiedFirstFit`) can consume size rows
+directly without ever materialising :class:`~repro.core.Item` objects on the
+hot path.
 
 Construction is validated once per batch (:meth:`ArrivalBatch.from_arrays`)
 or inherited from already-validated items (:meth:`ArrivalBatch.from_items`),
@@ -18,6 +19,8 @@ which is what makes the trusted fast paths downstream sound.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -26,11 +29,32 @@ from .exceptions import ValidationError
 from .items import Item, ItemList
 from .intervals import Interval
 
-__all__ = ["ArrivalBatch"]
+__all__ = ["ArrivalBatch", "gc_paused"]
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a bulk build.
+
+    Building many young objects while millions of long-lived ones are live
+    (placement records, items) triggers generational collections that rescan
+    them all, yet nothing built in the block can be garbage.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _trusted_item(
-    item_id: int, sizes: tuple[float, ...], arrival: float, departure: float
+    item_id: int,
+    sizes: tuple[float, ...],
+    arrival: float,
+    departure: float,
+    tags: dict | None = None,
 ) -> Item:
     """Build an :class:`Item` from already-validated fields, skipping checks.
 
@@ -38,7 +62,7 @@ def _trusted_item(
     ``(0, 1]``, ``arrival < departure``, both finite) — callers are the
     validated columnar paths (:class:`ArrivalBatch`, the columnar trace
     loader), which check those invariants vectorised over the whole batch
-    before constructing any object.
+    before constructing any object, and the first-fit core's bin replay.
     """
     iv = object.__new__(Interval)
     object.__setattr__(iv, "left", arrival)
@@ -47,7 +71,7 @@ def _trusted_item(
     object.__setattr__(item, "id", item_id)
     object.__setattr__(item, "sizes", sizes)
     object.__setattr__(item, "interval", iv)
-    object.__setattr__(item, "tags", {})
+    object.__setattr__(item, "tags", {} if tags is None else tags)
     return item
 
 

@@ -10,7 +10,6 @@ instant), and ties within a kind break by item id.
 from __future__ import annotations
 
 import enum
-import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -25,7 +24,6 @@ __all__ = [
     "Event",
     "EventArrays",
     "event_stream",
-    "EventHeap",
     "SizeSlice",
     "active_size_slices",
 ]
@@ -64,10 +62,14 @@ def event_stream(items: ItemList) -> Iterator[Event]:
     back-to-back reuse of bin capacity work with half-open intervals: an item
     departing at ``t`` and another arriving at ``t`` may share capacity.
     """
-    events = [Event(r.arrival, EventKind.ARRIVAL, r) for r in items]
-    events.extend(Event(r.departure, EventKind.DEPARTURE, r) for r in items)
-    events.sort(key=lambda e: e.sort_key)
-    return iter(events)
+    rows = list(items)
+    # Sort plain (time, kind, id, position) tuples — the ``Event.sort_key``
+    # order, ties kept in item order — and build the events once, in order.
+    keys = [(r.arrival, 1, r.id, i) for i, r in enumerate(rows)]
+    keys += [(r.departure, 0, r.id, i) for i, r in enumerate(rows)]
+    keys.sort()
+    kinds = (EventKind.DEPARTURE, EventKind.ARRIVAL)
+    return iter([Event(t, kinds[k], rows[i]) for t, k, _, i in keys])
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,43 +309,3 @@ def active_size_slices(
     raise ValidationError(
         f"unknown slice engine {engine!r}; expected 'columnar' or 'object'"
     )
-
-
-class EventHeap:
-    """A priority queue of :class:`Event` objects ordered by ``sort_key``.
-
-    The incremental counterpart of :func:`event_stream`: the streaming engine
-    pushes each item's departure event as the item is submitted and drains
-    all events due by the advancing clock in O(log n) per event, instead of
-    re-sorting the whole stream.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[tuple[float, int, int], Event]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, event: Event) -> None:
-        """Insert one event."""
-        heapq.heappush(self._heap, (event.sort_key, event))
-
-    def peek_time(self) -> float | None:
-        """The earliest pending event time, or ``None`` when empty."""
-        return self._heap[0][0][0] if self._heap else None
-
-    def pop_until(self, t: float) -> Iterator[Event]:
-        """Yield (and remove) every pending event with ``time <= t``, in order.
-
-        The inclusive cut matches half-open interval semantics: an item
-        departing *at* ``t`` is no longer active at ``t``, so its departure
-        event is due.
-        """
-        heap = self._heap
-        while heap and heap[0][0][0] <= t:
-            yield heapq.heappop(heap)[1]

@@ -8,12 +8,12 @@ between arrivals (``session.advance(t)``), inspects live state
 so far at any point (``session.result()``).
 
 The session reuses the packer's indexed bin pool (the lazy close-time heap of
-:class:`~repro.algorithms.OnlinePacker`) and keeps its own
-:class:`~repro.core.EventHeap` of pending departures, so each event costs
-O(log n) instead of a rescan of every bin ever opened.  Streaming placements
-are **identical** to batch packing: for every registered online packer the
-session produces the same assignment and usage as ``packer.pack`` on the same
-workload (enforced by the parity tests in ``tests/test_engine.py``).
+:class:`~repro.algorithms.OnlinePacker`) and keeps its own min-heap of
+pending departure times, so each event costs O(log n) instead of a rescan of
+every bin ever opened.  Streaming placements are **identical** to batch
+packing: for every registered online packer the session produces the same
+assignment and usage as ``packer.pack`` on the same workload (enforced by the
+parity tests in ``tests/test_engine.py``).
 
 Noisy clairvoyance (paper §6) is first-class: ``submit(item,
 predicted_departure=...)`` shows the packer an item with the predicted
@@ -31,9 +31,8 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from ..algorithms.base import OnlinePacker, get_packer
-from ..core.batch import ArrivalBatch
+from ..core.batch import ArrivalBatch, gc_paused
 from ..core.bins import Bin
-from ..core.events import Event, EventHeap, EventKind
 from ..core.exceptions import ValidationError
 from ..core.intervals import Interval
 from ..core.items import Item, ItemList
@@ -149,7 +148,7 @@ class PackingSession:
         self._packer = resolved
         self._packer.reset()
         self._algorithm = algorithm
-        self._departures = EventHeap()
+        # Pending departure times (a min-heap of plain floats).
         self._dep_times: list[float] = []
         self._items: list[Item] = []
         self._pending_items: list[ArrivalBatch] = []
@@ -200,14 +199,19 @@ class PackingSession:
         return self._packer.open_bins_at(self._clock)
 
     def snapshot(self) -> EngineSnapshot:
-        """A consistent point-in-time view (cheap: O(open bins))."""
+        """A consistent point-in-time view, built without ``Bin`` objects.
+
+        Every event retires the bins closed by its time, so the open-bin
+        index is current at the session clock.
+        """
+        packer = self._packer
         return EngineSnapshot(
             time=self._clock,
             items_submitted=self.stats.items_submitted,
             active_items=self._active,
-            open_bins=len(self.open_bins()),
-            bins_opened=len(self._packer.bins),
-            usage_time=sum(b.usage_time() for b in self._packer.bins),
+            open_bins=packer.open_bin_count(),
+            bins_opened=packer.bin_count(),
+            usage_time=packer.usage_time(),
         )
 
     # -- the streaming API ---------------------------------------------------
@@ -276,14 +280,14 @@ class PackingSession:
         self._ids.add(item.id)
         self._items.append(item)
         self._active += 1
-        self._departures.push(Event(item.departure, EventKind.DEPARTURE, item))
+        heapq.heappush(self._dep_times, item.departure)
 
         stats = self.stats
         stats.items_submitted += 1
-        stats.bins_opened = len(self._packer.bins)
+        stats.bins_opened = self._packer.bin_count()
         if self._active > stats.peak_active_items:
             stats.peak_active_items = self._active
-        open_now = len(self._packer.open_bins_at(item.arrival))
+        open_now = self._packer.open_bin_count()
         if open_now > stats.peak_open_bins:
             stats.peak_open_bins = open_now
         if timed:
@@ -303,8 +307,8 @@ class PackingSession:
         batch's clock, fault and telemetry bookkeeping is amortised into a
         handful of vectorised reductions, and placement goes through the
         packer's :meth:`~repro.algorithms.OnlinePacker.place_many` (for the
-        ``vector-*`` packers with SoA enabled, an array-at-a-time loop that
-        never materialises :class:`~repro.core.Item` objects).  Placements,
+        first-fit packers, the core's list-based loop, which never
+        materialises :class:`~repro.core.Item` objects).  Placements,
         deterministic :class:`~repro.engine.EngineStats` fields and snapshots
         are bit-identical to the scalar loop — asserted for every registered
         online packer by ``tests/test_engine.py`` and
@@ -351,7 +355,7 @@ class PackingSession:
         last = float(arr[-1])
         dep = batch.departures
         # Departures from *before* this batch that fall due inside it.
-        due_prior = [event.time for event in self._departures.pop_until(last)]
+        due_prior: list[float] = []
         dep_times = self._dep_times
         while dep_times and dep_times[0] <= last:
             due_prior.append(heapq.heappop(dep_times))
@@ -403,12 +407,14 @@ class PackingSession:
             indices[i] = self.submit(batch.item(i))
         return indices
 
-    def advance(self, t: float) -> list[Bin]:
-        """Advance the session clock to ``t``; returns newly retired bins.
+    def advance(self, t: float) -> list[int]:
+        """Advance the session clock to ``t``; returns the newly retired bin indices.
 
         Processes every pending departure due by ``t`` (half-open semantics:
         an item departing *at* ``t`` is gone at ``t``) and retires bins whose
-        items have all departed.
+        items have all departed.  Returns indices rather than
+        :class:`~repro.core.Bin` objects, so streaming builds no bins;
+        ``session.packer.bins[i]`` gives the bin itself.
 
         Raises:
             ValidationError: if ``t`` is before the current clock.
@@ -434,19 +440,19 @@ class PackingSession:
             self._advance_hist.observe(delta)
         return retired
 
-    def _drain_departures(self, t: float) -> list[Bin]:
-        """Process departures due by ``t``; returns the bins this retires."""
-        for _event in self._departures.pop_until(t):
-            self._active -= 1
-            self.stats.departures_processed += 1
-        # Departures queued by the batch path (plain floats, no Event objects).
+    def _drain_departures(self, t: float) -> list[int]:
+        """Process departures due by ``t``; returns the bin indices this retires."""
         dep_times = self._dep_times
+        due = 0
         while dep_times and dep_times[0] <= t:
             heapq.heappop(dep_times)
-            self._active -= 1
-            self.stats.departures_processed += 1
-        retired = self._packer.retire_until(t)
-        self.stats.bins_retired += len(retired)
+            due += 1
+        if due:
+            self._active -= due
+            self.stats.departures_processed += due
+        retired = self._packer.retire_indices(t)
+        if retired:
+            self.stats.bins_retired += len(retired)
         return retired
 
     # -- finishing -----------------------------------------------------------
@@ -466,12 +472,15 @@ class PackingSession:
         """The packing of everything submitted so far.
 
         Does not close the session — more items may still be submitted; each
-        call builds a fresh :class:`~repro.core.PackingResult` from the live
-        bins (actual intervals, post-amendment).
+        call builds a fresh :class:`~repro.core.PackingResult` from the
+        submitted items (actual intervals, post-amendment) and the packer's
+        :meth:`~repro.algorithms.OnlinePacker.assignment`, without building
+        :class:`~repro.core.Bin` objects.
         """
-        self._materialize_items()
-        return PackingResult.from_bins(
-            self._packer.bins,
-            ItemList(self._items),
-            algorithm=self._algorithm or self._packer.describe(),
+        with gc_paused():
+            self._materialize_items()
+            items = ItemList(self._items)
+            assignment = self._packer.assignment()
+        return PackingResult(
+            items, assignment, algorithm=self._algorithm or self._packer.describe()
         )

@@ -1,34 +1,16 @@
-"""Paper §6 future-work extensions.
+"""Paper §6 future-work extensions: flexible jobs.
 
-Flexible jobs (:mod:`repro.extensions.flexible`) still live here.  Vector
-(multi-dimensional) packing graduated to the first-class
-:mod:`repro.algorithms.vector` path; the historical names are re-exported
-below for compatibility (importing :mod:`repro.extensions.multidim` itself
-additionally emits a :class:`DeprecationWarning`).
+Vector (multi-dimensional) packing graduated to the first-class path: the
+packers live in :mod:`repro.algorithms.vector`, items, bins and packings are
+the core :class:`~repro.core.Item`, :class:`~repro.core.Bin` and
+:class:`~repro.core.PackingResult`, and the lower bounds live in
+:mod:`repro.bounds`.
 """
 
-from ..algorithms.vector import (
-    VectorBin,
-    VectorClassifyByDeparture,
-    VectorClassifyByDuration,
-    VectorFirstFit,
-    VectorItem,
-    VectorPacking,
-    vector_ceil_lower_bound,
-    vector_demand_lower_bound,
-)
 from .flexible import FlexibleJob, FlexibleSchedule, SlackAwareScheduler
 
 __all__ = [
     "FlexibleJob",
     "FlexibleSchedule",
     "SlackAwareScheduler",
-    "VectorBin",
-    "VectorClassifyByDeparture",
-    "VectorClassifyByDuration",
-    "VectorFirstFit",
-    "VectorItem",
-    "VectorPacking",
-    "vector_ceil_lower_bound",
-    "vector_demand_lower_bound",
 ]

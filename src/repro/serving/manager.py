@@ -276,7 +276,7 @@ class SessionManager:
         return indices
 
     def advance(self, tenant: str, t: float):
-        """Advance the tenant's session clock; returns newly retired bins."""
+        """Advance the tenant's session clock; returns the retired bin indices."""
         return self.session(tenant).advance(t)
 
     def snapshot(self, tenant: str) -> EngineSnapshot:

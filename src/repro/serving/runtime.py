@@ -541,7 +541,7 @@ class ServingRuntime:
         return evicted
 
     def advance(self, tenant: str, t: float):
-        """Journal and apply one clock advance; returns newly retired bins.
+        """Journal and apply one clock advance; returns the retired bin indices.
 
         Pending arrivals flush first so the journal's record order matches
         the engine's event order — replay then reproduces both exactly.

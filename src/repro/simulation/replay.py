@@ -135,7 +135,7 @@ def record_decisions(
             feasible = tuple(
                 b.index for b in open_bins if b.fits_at_arrival(item)
             )
-            before = len(packer.bins)
+            before = packer.bin_count()
             try:
                 chosen = packer.place(item)
             except Exception as exc:
@@ -151,7 +151,7 @@ def record_decisions(
                     levels=levels,
                     feasible_bins=feasible,
                     chosen_bin=chosen,
-                    opened_new=len(packer.bins) > before,
+                    opened_new=packer.bin_count() > before,
                 )
             )
     labels = {"algorithm": packer.describe()}

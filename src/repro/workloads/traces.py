@@ -33,7 +33,6 @@ and fault diagnostics are always identical.
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import json
 import math
@@ -44,6 +43,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from ..core.batch import gc_paused
 from ..core.exceptions import ValidationError
 from ..core.intervals import Interval
 from ..core.items import Item, ItemList
@@ -511,12 +511,8 @@ def _columns_to_items(table: np.ndarray, dims: int) -> ItemList | None:
     result: list[Item] = [None] * n  # type: ignore[list-item]
     new = object.__new__
     fill = object.__setattr__
-    # Millions of young container objects otherwise trigger generational
-    # collections mid-loop; none of them can be garbage, so pause the
-    # collector for the build (same fields as core.batch._trusted_item).
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    # Same fields as core.batch._trusted_item.
+    with gc_paused():
         k = 0
         for item_id, row, arrival, departure in zip(ids_l, size_rows, arr_l, dep_l):
             interval = new(Interval)
@@ -529,9 +525,6 @@ def _columns_to_items(table: np.ndarray, dims: int) -> ItemList | None:
             fill(item, "tags", {})
             result[k] = item
             k += 1
-    finally:
-        if was_enabled:
-            gc.enable()
     # Fill ItemList's slots directly: the rows are fully validated and the
     # lexsort above reproduces its (arrival, id) ordering contract.
     out = object.__new__(ItemList)

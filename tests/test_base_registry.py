@@ -138,10 +138,10 @@ class TestOpenBinIndex:
         p._note_commit(0, Item(0, 0.9, Interval(0.0, 1.0)))
         p.place(Item(1, 0.9, Interval(0.5, 4.0)))
         p._note_commit(1, Item(1, 0.9, Interval(0.5, 4.0)))
-        assert [b.index for b in p.retire_until(0.9)] == []
-        assert [b.index for b in p.retire_until(1.0)] == [0]
-        assert [b.index for b in p.retire_until(1.0)] == []  # idempotent
-        assert [b.index for b in p.retire_until(100.0)] == [1]
+        assert p.retire_indices(0.9) == []
+        assert p.retire_indices(1.0) == [0]
+        assert p.retire_indices(1.0) == []  # idempotent
+        assert p.retire_indices(100.0) == [1]
 
     def test_stale_heap_entries_skipped_after_amend(self):
         # The bin's close time shrinks when an over-predicted item is amended;
@@ -153,7 +153,7 @@ class TestOpenBinIndex:
         p._note_commit(0, predicted)
         p.amend_last(0, Item(0, 0.9, Interval(0.0, 1.0)))
         assert [b.index for b in p.open_bins_at(0.5)] == [0]
-        assert [b.index for b in p.retire_until(2.0)] == [0]
+        assert p.retire_indices(2.0) == [0]
         assert p.open_bins_at(2.0) == []
 
     def test_frontier_fast_path_matches_exact_scan(self):

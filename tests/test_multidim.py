@@ -1,64 +1,38 @@
-"""Tests for the historical multi-resource extension surface.
+"""Tests for multi-resource (vector) packing on the core types.
 
-Vector packing is first-class now (:mod:`repro.algorithms.vector`); these
-tests exercise the compatibility surface — the old ``repro.extensions``
-names must keep working on top of the new dimension-generic core, and
-``repro.extensions.multidim`` must warn on import.
+Vector items, bins and packings are the core :class:`~repro.core.Item`,
+:class:`~repro.core.Bin` and :class:`~repro.core.PackingResult`; the packers
+live in :mod:`repro.algorithms.vector` and the lower bounds in
+:mod:`repro.bounds`.
 """
 
 from __future__ import annotations
-
-import importlib
-import sys
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CapacityError, Interval, Item, ItemList, PackingResult, ValidationError
-from repro.extensions import (
+from repro.algorithms import (
+    VectorClassifyByDeparture,
     VectorClassifyByDuration,
     VectorFirstFit,
-    VectorItem,
-    vector_demand_lower_bound,
 )
-
-
-class TestDeprecatedShim:
-    def test_multidim_import_warns(self):
-        sys.modules.pop("repro.extensions.multidim", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.import_module("repro.extensions.multidim")
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    def test_shim_reexports_core_types(self):
-        from repro.extensions import multidim
-
-        assert multidim.VectorItem is Item
-        assert multidim.VectorPacking is PackingResult
-        assert multidim.VectorFirstFit is VectorFirstFit
-
-    def test_extensions_package_does_not_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(importlib.import_module("repro.extensions"))
-        assert not any(issubclass(w.category, DeprecationWarning) for w in caught)
+from repro.bounds import vector_ceil_lower_bound, vector_demand_lower_bound
+from repro.core import Bin, CapacityError, Interval, Item, ItemList, PackingResult, ValidationError
 
 
 def vi(i, sizes, left, right):
-    return VectorItem(i, tuple(sizes), Interval(left, right))
+    return Item(i, tuple(sizes), Interval(left, right))
 
 
 class TestVectorItem:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            VectorItem(0, (), Interval(0, 1))
+            Item(0, (), Interval(0, 1))
         with pytest.raises(ValidationError):
-            VectorItem(0, (0.5, 1.2), Interval(0, 1))
+            Item(0, (0.5, 1.2), Interval(0, 1))
         with pytest.raises(ValidationError):
-            VectorItem(0, (0.0,), Interval(0, 1))
+            Item(0, (0.0,), Interval(0, 1))
 
     def test_accessors(self):
         item = vi(0, (0.2, 0.3), 1.0, 4.0)
@@ -104,9 +78,7 @@ class TestVectorFirstFit:
             packing.validate()
 
     def test_bin_place_detects_overflow(self):
-        from repro.extensions import VectorBin
-
-        b = VectorBin(0, 2)
+        b = Bin(0, dims=2)
         b.place(vi(0, (0.8, 0.1), 0.0, 2.0))
         with pytest.raises(CapacityError):
             b.place(vi(1, (0.8, 0.1), 0.0, 2.0))
@@ -169,8 +141,6 @@ class TestVectorLowerBound:
 
 class TestVectorClassifyByDeparture:
     def test_far_departures_not_mixed(self):
-        from repro.extensions import VectorClassifyByDeparture
-
         items = [
             vi(0, (0.2, 0.2), 0.0, 1.0),
             vi(1, (0.2, 0.2), 0.0, 50.0),
@@ -180,8 +150,6 @@ class TestVectorClassifyByDeparture:
         assert packing.assignment[0] != packing.assignment[1]
 
     def test_similar_departures_share(self):
-        from repro.extensions import VectorClassifyByDeparture
-
         items = [
             vi(0, (0.2, 0.2), 0.0, 4.0),
             vi(1, (0.2, 0.2), 0.5, 4.5),
@@ -190,14 +158,10 @@ class TestVectorClassifyByDeparture:
         assert packing.assignment[0] == packing.assignment[1]
 
     def test_rho_validated(self):
-        from repro.extensions import VectorClassifyByDeparture
-
         with pytest.raises(ValidationError):
             VectorClassifyByDeparture(rho=0.0)
 
     def test_reusable_across_packs(self):
-        from repro.extensions import VectorClassifyByDeparture
-
         p = VectorClassifyByDeparture(rho=2.0)
         a = p.pack([vi(0, (0.3,), 10.0, 11.0)])
         b = p.pack([vi(0, (0.3,), 0.0, 1.0)])  # origin must re-anchor
@@ -208,8 +172,6 @@ class TestVectorCeilLowerBound:
     def test_dominates_demand_bound(self):
         import numpy as np
 
-        from repro.extensions import vector_ceil_lower_bound
-
         rng = np.random.default_rng(7)
         items = []
         for i in range(25):
@@ -217,19 +179,13 @@ class TestVectorCeilLowerBound:
             items.append(
                 vi(i, rng.uniform(0.1, 0.6, 2), left, left + float(rng.uniform(1, 5)))
             )
-        from repro.extensions import vector_demand_lower_bound
-
         assert vector_ceil_lower_bound(items) >= vector_demand_lower_bound(items) - 1e-9
 
     def test_usage_dominates_ceil_bound(self):
-        from repro.extensions import VectorFirstFit, vector_ceil_lower_bound
-
         items = [vi(i, (0.6, 0.3), 0.5 * i, 0.5 * i + 2.0) for i in range(12)]
         packing = VectorFirstFit().pack(items)
         packing.validate()
         assert packing.total_usage() >= vector_ceil_lower_bound(items) - 1e-9
 
     def test_empty(self):
-        from repro.extensions import vector_ceil_lower_bound
-
         assert vector_ceil_lower_bound([]) == 0.0

@@ -1,12 +1,10 @@
-"""First-class vector packing: degeneracy, SoA parity, registry, traces.
+"""First-class vector packing: degeneracy, streaming, registry, traces.
 
-The guarantees under test, in the order the API redesign promises them:
+The guarantees under test:
 
-* **degeneracy** — every vector packer at ``d=1`` produces bit-identical
-  placements to its scalar counterpart (object path *and* SoA path);
-* **SoA parity** — the numpy struct-of-arrays fit-check core is a pure
-  optimisation: placements, usage, and ``engine.*`` telemetry counters are
-  identical with the flag on or off, batch and streaming;
+* **degeneracy** — every vector packer at ``d=1`` produces the placements of
+  its scalar counterpart (agreement with the reference oracle at d = 1..3 is
+  ``tests/test_first_fit_core.py``);
 * **registry** — ``dims`` validation in :func:`repro.algorithms.get_packer`
   raises the uniform :class:`~repro.core.RegistryError` shape;
 * **traces** — ``sizes`` round-trips exactly through JSONL and CSV, and
@@ -21,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import available_packers, get_packer
-from repro.algorithms.vector import SOA_ENV_VAR, VectorFirstFit
 from repro.core import (
     EventKind,
     Interval,
@@ -48,12 +45,6 @@ COUNTERPARTS = [
     ("vector-classify-departure", "classify-departure", {"rho": 2.5}),
 ]
 
-VECTOR_SPECIAL = {
-    "vector-first-fit": {},
-    "vector-classify-duration": {"alpha": 2.0},
-    "vector-classify-departure": {"rho": 2.5},
-}
-
 
 @st.composite
 def vector_items_strategy(draw, max_items: int = 10, dims: int = 3):
@@ -73,23 +64,12 @@ class TestScalarDegeneracy:
     """Vector packers at d=1 are their scalar counterparts, bit for bit."""
 
     @pytest.mark.parametrize("vec_name,scalar_name,params", COUNTERPARTS)
-    @pytest.mark.parametrize("soa", [False, True])
-    def test_seeded_instances(self, vec_name, scalar_name, params, soa):
-        for seed in range(4):
-            items = uniform_random(60, seed=seed, size_range=(0.05, 1.0))
-            scalar = get_packer(scalar_name, **params).pack(items)
-            vector = get_packer(vec_name, soa=soa, **params).pack(items)
-            assert vector.assignment == scalar.assignment
-            assert vector.total_usage() == scalar.total_usage()
-
-    @pytest.mark.parametrize("vec_name,scalar_name,params", COUNTERPARTS)
     @settings(max_examples=40, deadline=None)
     @given(items=items_strategy(max_items=12))
     def test_property(self, vec_name, scalar_name, params, items):
         scalar = get_packer(scalar_name, **params).pack(items)
-        for soa in (False, True):
-            vector = get_packer(vec_name, soa=soa, **params).pack(items)
-            assert vector.assignment == scalar.assignment
+        vector = get_packer(vec_name, **params).pack(items)
+        assert vector.assignment == scalar.assignment
 
     def test_vector_uniform_dims1_equals_uniform_random(self):
         a = uniform_random(50, seed=11)
@@ -99,72 +79,31 @@ class TestScalarDegeneracy:
         ]
 
 
-class TestSoAParity:
-    """soa=True is a pure optimisation: identical placements everywhere."""
-
-    @pytest.mark.parametrize("name", sorted(VECTOR_SPECIAL))
-    @pytest.mark.parametrize("dims", [1, 2, 3])
-    def test_batch(self, name, dims):
-        for seed in range(3):
-            items = vector_uniform(80, dims=dims, seed=seed, size_range=(0.05, 1.0))
-            obj = get_packer(name, soa=False, **VECTOR_SPECIAL[name]).pack(items)
-            soa = get_packer(name, soa=True, **VECTOR_SPECIAL[name]).pack(items)
-            assert soa.assignment == obj.assignment
-            assert soa.total_usage() == obj.total_usage()
-            obj.validate()
-            soa.validate()
-
-    @pytest.mark.parametrize("name", sorted(VECTOR_SPECIAL))
-    @settings(max_examples=30, deadline=None)
-    @given(items=vector_items_strategy(max_items=10, dims=2))
-    def test_property(self, name, items):
-        obj = get_packer(name, soa=False, **VECTOR_SPECIAL[name]).pack(items)
-        soa = get_packer(name, soa=True, **VECTOR_SPECIAL[name]).pack(items)
-        assert soa.assignment == obj.assignment
-
-    def test_env_flag_enables_soa(self, monkeypatch):
-        monkeypatch.delenv(SOA_ENV_VAR, raising=False)
-        assert VectorFirstFit().soa is False
-        monkeypatch.setenv(SOA_ENV_VAR, "1")
-        assert VectorFirstFit().soa is True
-        assert VectorFirstFit(soa=False).soa is False  # explicit beats env
-        monkeypatch.setenv(SOA_ENV_VAR, "off")
-        assert VectorFirstFit().soa is False
-
-
 class TestStreaming:
-    """Vector items through PackingSession, both cores, same telemetry."""
+    """Vector items through PackingSession, per item or in arrival runs."""
 
-    def _drive(self, items, *, soa):
-        session = PackingSession("vector-first-fit", soa=soa)
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_streaming_matches_batch(self, batched):
+        items = vector_uniform(120, dims=3, seed=5)
+        session = PackingSession("vector-first-fit")
+        pending = []
         for event in event_stream(items):
             if event.kind is EventKind.ARRIVAL:
-                session.submit(event.item)
+                if batched:
+                    pending.append(event.item)
+                else:
+                    session.submit(event.item)
             else:
+                if pending:
+                    session.submit_many(pending)
+                    pending = []
                 session.advance(event.time)
-        counters = {
-            k: v
-            for k, v in session.stats.as_dict().items()
-            if not k.endswith("_seconds")
-        }
-        return session.result(), counters
-
-    @pytest.mark.parametrize("soa", [False, True])
-    def test_streaming_matches_batch(self, soa):
-        items = vector_uniform(120, dims=3, seed=5)
-        result, _ = self._drive(items, soa=soa)
+        if pending:
+            session.submit_many(pending)
+        result = session.result()
         result.validate()
-        batch = get_packer("vector-first-fit", soa=soa).pack(items)
-        assert result.assignment == batch.assignment
-
-    def test_engine_counters_identical_across_cores(self):
-        items = vector_uniform(150, dims=3, seed=8)
-        obj_result, obj_counters = self._drive(items, soa=False)
-        soa_result, soa_counters = self._drive(items, soa=True)
-        assert soa_result.assignment == obj_result.assignment
-        assert soa_counters == obj_counters
-        assert obj_counters["items_submitted"] == 150
-        assert obj_counters["departures_processed"] == 150
+        assert result.assignment == get_packer("vector-first-fit").pack(items).assignment
+        assert session.stats.items_submitted == session.stats.departures_processed == 120
 
 
 class TestRegistryDims:
