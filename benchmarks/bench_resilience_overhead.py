@@ -6,8 +6,9 @@ is only acceptable if a **fault-free** run pays (almost) nothing for it:
 
 * **sweep plumbing** — ``run_sweep`` with a retry policy, a checkpoint
   journal and a (generous) per-cell deadline versus the bare sweep.  The
-  journal appends one NDJSON line per cell and the retry loop adds a
-  try/except per cell; both must disappear next to the adversary solve.
+  journal appends one fsynced CRC-framed line per cell and the retry loop
+  adds a try/except per cell; both must disappear next to the adversary
+  solve.
 * **solver deadline checks** — ``opt_total`` with a far-future deadline
   versus without.  The branch-and-bound checks the clock once every 1024
   nodes, so the strided check must stay under the overhead gate.
@@ -48,7 +49,7 @@ from repro.workloads import dump_jsonl, load_jsonl, uniform_random
 MAX_OVERHEAD = 0.10
 #: Absolute-noise floor: below this per-run delta the ratio is meaningless.
 NOISE_FLOOR_SECONDS = 0.005
-#: Fixed journal cost budget per sweep cell (one fsynced NDJSON append).
+#: Fixed journal cost budget per sweep cell (one fsynced journal append).
 PER_CELL_FLOOR_SECONDS = 0.002
 #: Far-future per-cell deadline — never expires, only its checks are paid.
 GENEROUS_DEADLINE = 3600.0
@@ -205,7 +206,7 @@ def run_experiment(
     def fresh_checkpoint() -> tuple[float, ...]:
         # A fresh journal per run: resuming instead of running would make
         # the hardened side unfairly (and meaninglessly) fast.
-        path = os.path.join(checkpoint_dir, f"ck{next(counter)}.ndjson")
+        path = os.path.join(checkpoint_dir, f"journal-{next(counter)}")
         return sweep_hardened(tasks, path)
 
     return [

@@ -130,7 +130,7 @@ class ShardCoordinator:
         <root>/manifest.json        task specs, keys, chunking, settings
         <root>/leases/              generation-numbered chunk leases
         <root>/done/                exactly-once chunk completion markers
-        <root>/journals/<w>.ndjson  per-shard CheckpointJournal of outcomes
+        <root>/journals/<w>/        per-shard CheckpointJournal of outcomes
         <root>/memos/<w>.pkl        per-shard adversary MemoCache
 
     Args:
@@ -245,7 +245,7 @@ class ShardCoordinator:
 
     def journal_path(self, worker: str) -> Path:
         """The :class:`~repro.resilience.CheckpointJournal` path of a shard."""
-        return self.root / _JOURNAL_DIR / f"{worker}.ndjson"
+        return self.root / _JOURNAL_DIR / worker
 
     def memo_path(self, worker: str) -> Path:
         """The :class:`~repro.algorithms.MemoCache` path of a shard."""
@@ -253,20 +253,26 @@ class ShardCoordinator:
 
     # -- merged views --------------------------------------------------------
 
-    def settled(self) -> dict[str, dict[str, object]]:
+    def settled(
+        self, registry: TelemetryRegistry | None = None
+    ) -> dict[str, dict[str, object]]:
         """Union of every shard journal, keyed by task key.
 
-        Journals are folded in sorted filename order with last-write-wins
-        inside each file, so the merge is deterministic; duplicated keys
+        Journals are folded in sorted worker order with last-write-wins
+        inside each one, so the merge is deterministic; duplicated keys
         (benign steal overlap) carry identical measurements by construction,
         so each cell is settled exactly once regardless of which copy wins.
+        Corrupt records read as unsettled and are counted in ``registry``.
         """
         merged: dict[str, dict[str, object]] = {}
         journal_dir = self.root / _JOURNAL_DIR
         if not journal_dir.is_dir():
             return merged
-        for path in sorted(journal_dir.glob("*.ndjson")):
-            merged.update(CheckpointJournal(path).load())
+        for path in sorted(journal_dir.iterdir()):
+            journal = CheckpointJournal(path)
+            merged.update(journal.load())
+            if registry is not None:
+                registry.merge(journal.registry)
         return merged
 
     def results(
@@ -434,7 +440,8 @@ def run_shard_worker(
         poll_interval: Sleep between scans while other workers hold all
             remaining leases.
         clock: Lease-expiry time source; injectable for tests.
-        registry: Optional registry for ``distributed.worker.*`` counters.
+        registry: Optional registry for ``distributed.worker.*`` and
+            ``resilience.journal.*`` counters.
         wait_manifest: Seconds to wait for the driver to write the
             manifest before giving up — lets ``repro sweep-worker``
             processes start ahead of the driver.
@@ -497,7 +504,9 @@ def run_shard_worker(
             break
         if not progress:
             time.sleep(poll_interval)
+    journal.close()
     if registry is not None:
+        registry.merge(journal.registry)
         registry.counter("distributed.worker.cells_run").inc(report.cells_run)
         registry.counter("distributed.worker.cells_skipped").inc(report.cells_skipped)
         registry.counter("distributed.worker.chunks_completed").inc(
@@ -607,11 +616,11 @@ def run_sharded_sweep(
                 poll_interval=poll_interval,
             )
         # A done marker proves its chunk ran, but a journal damaged after
-        # the fact (corrupt or truncated lines are skipped on load) can
+        # the fact (corrupt records are reported and left out on load) can
         # still lose settled records; recompute those cells inline under
         # the driver's own journal before merging.
         manifest = coordinator.manifest()
-        settled_now = coordinator.settled()
+        settled_now = coordinator.settled(registry)
         missing = [
             cell
             for cell, key in enumerate(manifest.keys)
@@ -632,6 +641,7 @@ def run_sharded_sweep(
                     index_offset=cell,
                 )[0]
                 journal.append(manifest.keys[cell], _outcome_record(outcome))
+            journal.close()
         outcomes = coordinator.results(resumed_keys=resumed_keys)
         if memo_path is not None:
             coordinator.merge_memos(memo_path)

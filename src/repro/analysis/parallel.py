@@ -296,7 +296,7 @@ def run_sweep(
             plus the driver's ``resilience.sweep.*`` counters.
         retry: :class:`~repro.resilience.RetryPolicy` for failed cells;
             ``None`` means no retries (crash isolation still applies).
-        checkpoint: Optional path of an NDJSON
+        checkpoint: Optional directory of a
             :class:`~repro.resilience.CheckpointJournal`: completed cells
             are appended as they finish, and cells already in the journal
             are restored instead of rerun (``from_checkpoint=True``).
@@ -412,6 +412,10 @@ def run_sweep(
         attempt += 1
 
     outcomes = [completed[i] for i in range(len(tasks))]
+    if journal is not None:
+        journal.close()
+        if registry is not None:
+            registry.merge(journal.registry)
     if registry is not None:
         for outcome in outcomes:
             registry.merge(outcome.telemetry)

@@ -58,8 +58,8 @@ down to scrape it mid-run).
 Resilience: ``serve --fault-policy {strict,skip,clamp}`` (with an optional
 ``--error-budget N``) hardens the serve path against malformed trace
 records and inconsistent events; ``sweep`` gains ``--retries N``
-(per-cell retry with backoff), ``--checkpoint FILE`` (NDJSON journal —
-rerunning with the same file resumes completed cells) and
+(per-cell retry with backoff), ``--checkpoint DIR`` (a CRC-framed segment
+log journal — rerunning with the same directory resumes completed cells) and
 ``--deadline SECONDS`` (per-cell adversary wall-clock budget with graceful
 degradation to certified bounds).  See ``docs/RESILIENCE.md``.
 """
@@ -738,7 +738,7 @@ def _serve_listen(args: argparse.Namespace) -> int:
         print(
             f"recovered {recovery.recovered_tenants} tenant(s): "
             f"{recovery.replayed} tail records replayed, "
-            f"{recovery.torn_records} torn tail(s) healed, "
+            f"{registry.counter('serving.wal.healed_tails').value} torn tail(s) healed, "
             f"{recovery.duration_seconds:.3f}s",
             file=sys.stderr,
         )
@@ -1355,9 +1355,10 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument(
         "--checkpoint",
         default="",
-        metavar="FILE",
-        help="NDJSON checkpoint journal: cells are appended as they complete; "
-        "rerunning with the same FILE resumes instead of recomputing",
+        metavar="DIR",
+        help="checkpoint journal directory (CRC-framed segment log): cells are "
+        "appended as they complete; rerunning with the same DIR resumes "
+        "instead of recomputing",
     )
     swp.add_argument(
         "--deadline",

@@ -17,8 +17,8 @@ hard failures into bounded, observable degradation:
 * :class:`FaultPolicy` — ``strict | skip | clamp`` handling of malformed,
   out-of-order, duplicate or capacity-violating trace events, with an
   error budget that trips back to strict when exhausted;
-* :class:`CheckpointJournal` — an NDJSON journal of completed sweep cells so
-  an interrupted :func:`~repro.analysis.run_sweep` resumes instead of
+* :class:`CheckpointJournal` — a journal of completed sweep cells so an
+  interrupted :func:`~repro.analysis.run_sweep` resumes instead of
   recomputing;
 * :class:`ChaosInjector` — a seeded fault-injection harness (worker
   crashes, solver stalls, record corruption) that drives the chaos test
@@ -27,10 +27,10 @@ hard failures into bounded, observable degradation:
   work leases with expiry, stealing and exactly-once done markers: the
   coordination primitive behind the sharded sweeps of
   :mod:`repro.analysis.distributed` (see ``docs/DISTRIBUTED.md``);
-* :mod:`~repro.resilience.framing` — CRC32 line frames and atomic framed
-  blobs (:func:`frame_line` / :func:`iter_frames` /
-  :func:`write_framed_blob`), the durable-byte encoding under the serving
-  write-ahead journal of :mod:`repro.serving.wal`.
+* :mod:`~repro.resilience.log` — the one durable log under the serving WAL
+  and every :class:`CheckpointJournal`: CRC-framed segment files
+  (:class:`SegmentLog` / :func:`read_log`) that heal a torn tail and report
+  mid-file corruption (:class:`CorruptLogError`), plus atomic framed blobs.
 
 Every retry, timeout, degradation, drop and clamp increments a
 ``resilience.*`` telemetry cell in the run's
@@ -42,15 +42,16 @@ from .chaos import ChaosInjector, InjectedFault, corrupt_jsonl
 from .checkpoint import CheckpointJournal, task_key
 from .deadline import Deadline
 from .faults import FAULT_MODES, FaultPolicy
-from .framing import (
-    FrameStats,
+from .lease import Lease, LeaseBoard
+from .log import (
+    CorruptLogError,
+    SegmentLog,
     frame_line,
-    iter_frames,
     parse_frame,
     read_framed_blob,
+    read_log,
     write_framed_blob,
 )
-from .lease import Lease, LeaseBoard
 from .retry import RetryPolicy
 
 __all__ = [
@@ -65,10 +66,11 @@ __all__ = [
     "corrupt_jsonl",
     "Lease",
     "LeaseBoard",
-    "FrameStats",
+    "SegmentLog",
+    "CorruptLogError",
+    "read_log",
     "frame_line",
     "parse_frame",
-    "iter_frames",
     "read_framed_blob",
     "write_framed_blob",
 ]

@@ -1,17 +1,18 @@
-"""The NDJSON checkpoint journal behind ``run_sweep --checkpoint``.
+"""The checkpoint journal behind ``run_sweep --checkpoint`` and shard journals.
 
-One JSON object per completed sweep cell, appended as cells finish, keyed by
-a canonical hash of the cell's task spec.  A rerun pointed at the same
-journal restores every recorded cell instead of recomputing it — the sweep
-analogue of the adversary :class:`~repro.algorithms.MemoCache`'s
-merge-on-save path, but at cell granularity and in a human-greppable text
-format.
+One record per completed sweep cell, appended as cells finish, keyed by a
+canonical hash of the cell's task spec.  A rerun pointed at the same journal
+restores every recorded cell instead of recomputing it — the sweep analogue
+of the adversary :class:`~repro.algorithms.MemoCache`'s merge-on-save path,
+but at cell granularity.
 
-The journal is deliberately forgiving on read: corrupt or truncated lines
-(a sweep killed mid-append) are skipped, and for a key recorded twice the
-last complete record wins.  Floats survive the round trip bit-exactly —
-``json`` serialises them via ``repr``, which Python guarantees to
-round-trip — so resumed cells report ratios identical to a fault-free run.
+The journal is a keyed, last-write-wins view over a
+:class:`~repro.resilience.log.SegmentLog`, the serving WAL's log: a torn
+tail from a killed run is healed by the next writer, and a corrupt record
+anywhere else is warned about with its file and byte offset, counted in
+``resilience.journal.corrupt_records``, and its cell recomputed.  Floats
+round-trip bit-exactly (``json`` uses ``repr``), so resumed cells report
+ratios identical to a fault-free run.
 """
 
 from __future__ import annotations
@@ -19,8 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 from typing import Mapping
+
+from ..obs import TelemetryRegistry
+from .log import CorruptLogError, SegmentLog, read_log
 
 __all__ = ["CheckpointJournal", "task_key"]
 
@@ -36,63 +41,55 @@ def task_key(spec: Mapping[str, object]) -> str:
 
 
 class CheckpointJournal:
-    """An append-only NDJSON map from task key to completed-cell record.
+    """A keyed, last-write-wins map from task key to completed-cell record.
 
     Args:
-        path: The journal file; created on first :meth:`append`, read by
-            :meth:`load`.  A missing file is an empty journal.
+        path: The journal's log directory, created on first :meth:`append`.
+            A missing directory is an empty journal; a plain file (an
+            NDJSON journal of an older release) is refused.
+
+    Attributes:
+        registry: This journal's ``resilience.journal.*`` counters.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = Path(path)
+        self.registry = TelemetryRegistry()
+        self._log: SegmentLog | None = None
 
     def load(self) -> dict[str, dict[str, object]]:
-        """All complete records keyed by task key (last write wins).
+        """All intact records keyed by task key (last write wins).
 
-        Corrupt, truncated or keyless lines are skipped — a journal from a
-        killed run is still usable up to its last complete record.
+        A corrupt or keyless record is reported and left out, so its cell
+        reads as not yet done and is recomputed.
         """
-        if not self.path.exists():
-            return {}
+        corrupt: list[CorruptLogError] = []
         records: dict[str, dict[str, object]] = {}
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
+        for record, path, offset in read_log(self.path, corrupt=corrupt):
             key = record.pop("key", None)
             if isinstance(key, str) and key:
+                del record["seq"]
                 records[key] = record
+            else:
+                corrupt.append(CorruptLogError(path, offset, "record has no key"))
+        for fault in corrupt:
+            warnings.warn(f"cell recomputed: {fault}", RuntimeWarning, stacklevel=2)
+        if corrupt:
+            self.registry.counter("resilience.journal.corrupt_records").inc(len(corrupt))
         return records
 
     def append(self, key: str, record: Mapping[str, object]) -> None:
-        """Append one completed-cell record under ``key`` (flushed + fsynced).
+        """Append one completed-cell record under ``key``; fsynced before it returns."""
+        if self._log is None:
+            self._log = SegmentLog(
+                self.path, registry=self.registry, prefix="resilience.journal", sync_each=True
+            )
+        self._log.append({**record, "key": key})
 
-        The write is a single ``write()`` of one line, so concurrent
-        appenders on a POSIX filesystem interleave at line granularity and
-        a crash can at worst truncate the final line (which :meth:`load`
-        skips).
-        """
-        payload = dict(record)
-        payload["key"] = key
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def __len__(self) -> int:
-        return len(self.load())
+    def close(self) -> None:
+        """Close the active segment; a later :meth:`append` starts a new one."""
+        if self._log is not None:
+            self._log.rotate()
 
     def __repr__(self) -> str:
         return f"CheckpointJournal({str(self.path)!r})"

@@ -24,9 +24,9 @@ recovery
 Used eagerly by ``serve --recover`` (every journaled tenant is rehydrated
 before the transport starts accepting) and lazily by the runtime's
 hot-tenant eviction (an evicted tenant rehydrates transparently on its next
-request).  Torn segment tails — the expected damage after SIGKILL — are
-counted, never fatal: a torn record was never acknowledged, so dropping it
-loses nothing a client was promised.
+request).  A torn tail — never acknowledged — is healed when the journal
+opens; any other damage raises :class:`~repro.resilience.CorruptLogError`
+before the tenant's state is touched.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING
 
 from ..core.batch import ArrivalBatch
 from ..core.items import Item
-from ..resilience.framing import FrameStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import ServingRuntime
@@ -56,8 +55,6 @@ class TenantRecovery:
         replayed_arrivals: Tail arrival records replayed into the engine.
         replayed_advances: Tail advance records replayed.
         placed: Replayed arrivals actually placed into bins.
-        torn_records: Segments' bad-frame stops observed during replay
-            (expected to be 0 or 1 — the torn tail of the crash).
         items_submitted: The rehydrated session's final submitted count.
     """
 
@@ -67,7 +64,6 @@ class TenantRecovery:
     replayed_arrivals: int
     replayed_advances: int
     placed: int
-    torn_records: int
     items_submitted: int
 
 
@@ -93,20 +89,20 @@ class RecoveryReport:
         """Tenants rehydrated."""
         return len(self.tenants)
 
-    @property
-    def torn_records(self) -> int:
-        """Total torn-frame stops across tenants (crash tails healed)."""
-        return sum(t.torn_records for t in self.tenants)
-
 
 def rehydrate_tenant(runtime: "ServingRuntime", tenant: str) -> TenantRecovery:
     """Rebuild one tenant's session and admission gate from its journal.
 
     The tenant must not be resident (no open session, no queue).  Raises
     :class:`~repro.core.ValidationError` via the manager when restoring
-    would exceed the tenant cap.
+    would exceed the tenant cap, and
+    :class:`~repro.resilience.CorruptLogError` when the journal is damaged
+    (nothing is restored then).
     """
     wal = runtime.wal.tenant(tenant)
+    # Read the whole tail first: a corrupt journal fails before any state
+    # reaches the manager.
+    records = list(wal.replay())
     checkpoint = wal.load_checkpoint()
     gate: dict[str, object]
     if checkpoint is not None:
@@ -127,7 +123,6 @@ def rehydrate_tenant(runtime: "ServingRuntime", tenant: str) -> TenantRecovery:
         }
 
     manager = runtime.manager
-    stats = FrameStats()
     pending: list[Item] = []
     replayed_arrivals = replayed_advances = placed = 0
     seen_ids: set[int] = set(gate["seen_ids"])  # type: ignore[arg-type]
@@ -140,7 +135,7 @@ def rehydrate_tenant(runtime: "ServingRuntime", tenant: str) -> TenantRecovery:
             placed += int((indices >= 0).sum())
             pending.clear()
 
-    for record in wal.replay(after_seq=checkpoint_seq, stats=stats):
+    for record in records:
         if record.op == "arrival":
             item = record.item
             assert item is not None
@@ -169,8 +164,6 @@ def rehydrate_tenant(runtime: "ServingRuntime", tenant: str) -> TenantRecovery:
     registry.counter("serving.wal.recovered_records").inc(
         replayed_arrivals + replayed_advances
     )
-    if stats.torn:
-        registry.counter("serving.wal.torn_records").inc(stats.torn)
     registry.counter("serving.rehydrations", tenant=tenant).inc()
     return TenantRecovery(
         tenant=tenant,
@@ -179,7 +172,6 @@ def rehydrate_tenant(runtime: "ServingRuntime", tenant: str) -> TenantRecovery:
         replayed_arrivals=replayed_arrivals,
         replayed_advances=replayed_advances,
         placed=placed,
-        torn_records=stats.torn,
         items_submitted=manager.snapshot(tenant).items_submitted,
     )
 

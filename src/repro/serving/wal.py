@@ -6,49 +6,32 @@ on disk no matter how the process dies.  One journal
 (:class:`WriteAheadLog`) owns one directory; inside it every tenant gets its
 own subdirectory of:
 
-* **segments** — ``segment-<first-seq>.wal``, append-only NDJSON with the
-  CRC32 line framing of :mod:`repro.resilience.framing`.  A killed process
-  can at worst tear the final line, which the reader detects and stops at;
+* **segments** — the tenant's :class:`~repro.resilience.log.SegmentLog`.
+  A kill can at worst tear the final line, which the next open heals; any
+  other damage stops replay with an error naming the segment and byte
+  offset, so no acknowledged record is dropped in silence;
 * **a checkpoint** — ``checkpoint.ckpt``, an atomically-replaced framed
   blob holding the tenant's pickled live state (session, fault policy,
   private registry, admission-gate bookkeeping) plus the sequence number it
-  covers.  Recovery unpickles the checkpoint and replays only the segment
-  tail after it — restart cost is O(state + tail), not O(history);
+  covers.  Recovery unpickles it and replays only the tail after it, and a
+  checkpoint compacts away the segments it covers — restart cost and disk
+  use are O(state + tail), not O(history);
 * **a meta file** — ``meta.json`` recording the raw tenant id (directory
   names are sanitised, so ``hello ../../etc`` cannot escape the journal
   root).
 
 **Durability model.**  ``sync="always"`` fsyncs every record before the
-append returns — survives power loss, costs one fsync per arrival.
-``sync="group"`` (the default) writes each record eagerly but fsyncs at
-group-commit points (micro-batch flushes, rotation, checkpoint, close):
-acknowledged records survive any *process* death (SIGKILL, OOM — the bytes
-are in the page cache) and at most one flush interval is exposed to a
-whole-machine crash.  This is the Redis-AOF ``always``/``everysec`` trade,
-and the chaos battery in ``tests/test_serving_wal.py`` kills with SIGKILL,
-which ``group`` fully covers.  Deadline-cadence group commits additionally
-coalesce: a micro-batch flush fsyncs at most once per
-:attr:`WalConfig.group_window` seconds (hard points — rotation, checkpoint,
-close — always force a real fsync), so eight tenants on a 2 ms flush
-deadline cost ~4 fsyncs/second each instead of ~500 while the
-whole-machine-crash exposure stays bounded by the window (Redis's
-``everysec`` makes the same trade with a 1000 ms window; the default here
-is four times tighter).  An fsync on a loaded filesystem runs ~1-10 ms, so
-windowed group commits additionally run on a **background syncer thread**
-(:meth:`TenantWal.sync_soon`) — exactly how Redis fsyncs its AOF — and the
-event loop never waits on the disk; only hard commit points fsync inline.
-The window plus the off-thread fsync are what keep durability off the
-latency path.
-
-Segments rotate at :attr:`WalConfig.segment_bytes`; a checkpoint rotates
-first, writes the blob, then **compacts** — every segment fully covered by
-the checkpoint is deleted, so a long-lived tenant's journal stays bounded
-by one checkpoint plus the live tail.  Replay is resolved bit-identically
-(checkpointed state is a pickle round-trip; tail records rebuild the exact
-admitted :class:`~repro.core.Item`, and
-:meth:`~repro.engine.PackingSession.submit_many` is batch-grouping
-invariant), which is what lets ``serve --recover`` promise snapshot parity
-with an uninterrupted run.
+append returns.  ``sync="group"`` (the default) writes each record eagerly
+— it survives any *process* death — but fsyncs only at group-commit points
+(micro-batch flushes, rotation, checkpoint, close), the Redis-AOF
+``always``/``everysec`` trade.  Flush-cadence commits coalesce to one per
+:attr:`WalConfig.group_window` and run on a **background syncer thread**
+(:meth:`TenantWal.sync_soon`), so the event loop never waits on a 1-10 ms
+fsync; hard commit points fsync inline.  At most one window is exposed to
+a whole-machine crash.  Replay is bit-identical (a pickle round-trip plus
+tail records that rebuild the exact admitted :class:`~repro.core.Item`;
+``submit_many`` is batch-grouping invariant), which lets ``serve
+--recover`` promise snapshot parity with an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -63,23 +46,25 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import Callable, Iterator
 
 from ..core.exceptions import ValidationError
 from ..core.intervals import Interval
 from ..core.items import Item
 from ..obs import TelemetryRegistry
-from ..resilience.framing import (
-    FrameStats,
+from ..resilience.log import (
+    SEGMENT_BYTES,
+    CorruptLogError,
+    SegmentLog,
     frame_line,
-    iter_frames,
     read_framed_blob,
+    read_log,
+    segments,
     write_framed_blob,
 )
 
 __all__ = ["WalConfig", "TenantWal", "WriteAheadLog", "WalRecord"]
 
-_SEGMENT_RE = re.compile(r"^segment-(\d{12})\.wal$")
 _CHECKPOINT = "checkpoint.ckpt"
 _META = "meta.json"
 
@@ -109,15 +94,13 @@ class WalConfig:
         checkpoint_records: Write an automatic checkpoint (and compact)
             after this many records since the last one (``0``: checkpoint
             only on eviction, drain, or explicit request).
-        group_window: In ``"group"`` mode, coalesce deadline-cadence
-            fsyncs to at most one per this many seconds — the bounded
-            whole-machine-crash exposure (process death never loses the
-            coalesced tail; it is in the page cache).  Hard commit points
-            (rotation, checkpoint, close) always fsync regardless.
-            ``0`` disables coalescing: every group-commit point fsyncs.
+        group_window: In ``"group"`` mode, coalesce flush-cadence fsyncs
+            to at most one per this many seconds (the bounded
+            whole-machine-crash exposure); hard commit points always fsync.
+            ``0`` disables coalescing.
     """
 
-    segment_bytes: int = 4 << 20
+    segment_bytes: int = SEGMENT_BYTES
     sync: str = "group"
     checkpoint_records: int = 0
     group_window: float = 0.25
@@ -158,11 +141,30 @@ class WalRecord:
     time: float = 0.0
 
 
-class TenantWal:
-    """One tenant's journal: segment appends, checkpoint, replay.
+def _decode(record: dict[str, object], path: Path, offset: int) -> WalRecord:
+    """The :class:`WalRecord` of one log record; schema damage is corruption."""
+    op, seq = record.get("op"), record["seq"]
+    try:
+        if op == "arrival":
+            item = Item(
+                record["id"],
+                tuple(record["sizes"]),
+                Interval(record["arrival"], record["departure"]),
+                dict(record.get("tags", {})),
+            )
+            return WalRecord(op="arrival", seq=seq, item=item)
+        if op == "advance":
+            return WalRecord(op="advance", seq=seq, time=float(record["t"]))
+    except (KeyError, TypeError, ValueError):  # ValidationError is a ValueError
+        pass
+    raise CorruptLogError(path, offset, f"{op!r} record fails the WAL schema")
 
-    Created through :meth:`WriteAheadLog.tenant` — opening scans existing
-    segments so the sequence counter continues where a previous process
+
+class TenantWal(SegmentLog):
+    """One tenant's journal: a segment log plus its checkpoint blob.
+
+    Created through :meth:`WriteAheadLog.tenant` — opening heals a torn
+    tail and continues the sequence counter where a previous process
     stopped, making append-after-recovery safe.
     """
 
@@ -176,129 +178,43 @@ class TenantWal:
         clock: Callable[[], float] = time.monotonic,
         executor: ThreadPoolExecutor | None = None,
     ) -> None:
+        super().__init__(
+            path,
+            registry=registry,
+            prefix="serving.wal",
+            segment_bytes=config.segment_bytes,
+            sync_each=config.sync == "always",
+        )
         self.tenant = tenant
-        self.path = path
         self.config = config
-        self._registry = registry
         self._clock = clock
         self._executor = executor
         self._sync_inflight = False  # a background fsync is queued or running
-        self._fh: IO[bytes] | None = None
-        self._segment_path: Path | None = None
-        self._segment_bytes = 0
-        self._dirty = False  # written since the last fsync
         self._last_fsync = float("-inf")  # clock stamp of the last real fsync
         # Hot-path counters, resolved once — registry lookup + label
         # normalisation per append would dominate the append itself.
         self._c_appends = registry.counter("serving.wal.appends", tenant=tenant)
         self._c_bytes = registry.counter("serving.wal.bytes")
-        self._c_fsyncs = registry.counter("serving.wal.fsyncs")
         self._c_coalesced = registry.counter("serving.wal.fsyncs_coalesced")
-        self.path.mkdir(parents=True, exist_ok=True)
         meta = self.path / _META
         if not meta.exists():
             meta.write_text(
                 json.dumps({"tenant": tenant}, sort_keys=True) + "\n",
                 encoding="utf-8",
             )
-        self.checkpoint_seq = self._read_checkpoint_seq()
-        self._heal_tail()
-        self.seq = max(self.checkpoint_seq, self._scan_last_seq())
-        self.records_since_checkpoint = max(0, self.seq - self.checkpoint_seq)
+        checkpoint = self.load_checkpoint()
+        self.checkpoint_seq = checkpoint[0] if checkpoint is not None else 0
+        # Compaction may have deleted every segment the checkpoint covers.
+        self.seq = max(self.seq, self.checkpoint_seq)
+        self.records_since_checkpoint = self.seq - self.checkpoint_seq
 
-    # -- sequencing and segments ---------------------------------------------
+    # -- appends --------------------------------------------------------------
 
-    def _segments(self) -> list[tuple[int, Path]]:
-        """``(first_seq, path)`` of every on-disk segment, ascending."""
-        found = []
-        try:
-            names = os.listdir(self.path)
-        except OSError:
-            return []
-        for name in names:
-            match = _SEGMENT_RE.match(name)
-            if match:
-                found.append((int(match.group(1)), self.path / name))
-        found.sort()
-        return found
-
-    def _scan_last_seq(self) -> int:
-        """The highest sequence number recorded in any segment."""
-        segments = self._segments()
-        if not segments:
-            return 0
-        # Only the newest segment can extend the counter; older ones are
-        # fully covered by the newest segment's first_seq.
-        first_seq, path = segments[-1]
-        last = first_seq - 1
-        for record in iter_frames(path):
-            seq = record.get("seq")
-            if isinstance(seq, int):
-                last = max(last, seq)
-        return last
-
-    def _heal_tail(self) -> None:
-        """Truncate a torn tail off the newest segment before appending.
-
-        A torn final line is the one corruption an append-only journal
-        expects after a kill: the record's ``write`` never returned, so its
-        arrival was never acknowledged and discarding it loses nothing.
-        Healing keeps later appends readable (replay stops at the first bad
-        frame, so appending after a tear would orphan every new record).
-        """
-        segments = self._segments()
-        if not segments:
-            return
-        _first_seq, path = segments[-1]
-        stats = FrameStats()
-        for _record in iter_frames(path, stats):
-            pass
-        if stats.torn:
-            with open(path, "r+b") as fh:
-                fh.truncate(stats.bytes_read)
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._registry.counter("serving.wal.healed_tails").inc()
-
-    def _read_checkpoint_seq(self) -> int:
-        payload = read_framed_blob(self.path / _CHECKPOINT)
-        if payload is None:
-            return 0
-        try:
-            return int(pickle.loads(payload)["seq"])
-        except Exception:
-            return 0
-
-    def _open_segment(self) -> IO[bytes]:
-        if self._fh is None:
-            path = self.path / f"segment-{self.seq + 1:012d}.wal"
-            # Unbuffered binary: each frame reaches the page cache in one
-            # write syscall, so an acknowledged record survives SIGKILL
-            # without a per-append flush of a Python-side buffer.
-            self._fh = open(path, "ab", buffering=0)
-            self._segment_path = path
-            self._segment_bytes = path.stat().st_size
-            self._registry.counter("serving.wal.segments_opened").inc()
-        return self._fh
-
-    def _write_frame(self, data: bytes) -> int:
-        fh = self._open_segment()
-        fh.write(data)
-        self._segment_bytes += len(data)
-        self._dirty = True
+    def write(self, frame: bytes, seq: int) -> None:
+        super().write(frame, seq)
         self.records_since_checkpoint += 1
-        if self.config.sync == "always":
-            self.sync()
         self._c_appends.inc()
-        self._c_bytes.inc(len(data))
-        if self._segment_bytes >= self.config.segment_bytes:
-            self.rotate()
-        return self.seq
-
-    def _append(self, record: dict[str, object]) -> int:
-        self.seq += 1
-        record["seq"] = self.seq
-        return self._write_frame(frame_line(record).encode("utf-8"))
+        self._c_bytes.inc(len(frame))
 
     def append_arrival(self, item: Item) -> int:
         """Journal one admitted arrival; returns its sequence number.
@@ -309,13 +225,13 @@ class TenantWal:
         The common (tagless) arrival is framed by hand — ``repr`` of a
         Python int/float is exactly what ``json.dumps`` emits, and the keys
         are written pre-sorted — producing the same canonical bytes as
-        :func:`~repro.resilience.framing.frame_line` at a fraction of its
+        :func:`~repro.resilience.log.frame_line` at a fraction of its
         cost; the journal append sits on the admission hot path of every
         single arrival.  ``tests/test_serving_wal.py`` pins the byte
         equality.
         """
         if item.tags:
-            return self._append(
+            return self.append(
                 {
                     "op": "arrival",
                     "id": item.id,
@@ -325,18 +241,32 @@ class TenantWal:
                     "tags": dict(item.tags),
                 }
             )
-        self.seq += 1
+        seq = self.seq + 1
         payload = (
             f'{{"arrival":{item.arrival!r},"departure":{item.departure!r},'
-            f'"id":{item.id!r},"op":"arrival","seq":{self.seq!r},'
+            f'"id":{item.id!r},"op":"arrival","seq":{seq!r},'
             f'"sizes":[{",".join(map(repr, item.sizes))}]}}'
         ).encode("utf-8")
         crc = zlib.crc32(payload) & 0xFFFFFFFF
-        return self._write_frame(b"%08x " % crc + payload + b"\n")
+        self.write(b"%08x " % crc + payload + b"\n", seq)
+        return seq
 
     def append_advance(self, t: float) -> int:
         """Journal one clock advance; returns its sequence number."""
-        return self._append({"op": "advance", "t": float(t)})
+        return self.append({"op": "advance", "t": float(t)})
+
+    # -- group commit ---------------------------------------------------------
+
+    def _coalesced(self) -> bool:
+        """Whether a group commit now falls inside the window (and is counted)."""
+        if (
+            self.config.sync == "group"
+            and self.config.group_window > 0
+            and self._clock() - self._last_fsync < self.config.group_window
+        ):
+            self._c_coalesced.inc()
+            return True
+        return False
 
     def sync(self, *, force: bool = False) -> None:
         """fsync the active segment (the group-commit point).
@@ -348,47 +278,19 @@ class TenantWal:
         is exposed).  ``force=True`` — used by rotation, checkpoint, and
         close — always fsyncs dirty state.
         """
-        if self._fh is None or not self._dirty:
+        if not self._dirty or (not force and self._coalesced()):
             return
-        if (
-            not force
-            and self.config.sync == "group"
-            and self.config.group_window > 0
-            and self._clock() - self._last_fsync < self.config.group_window
-        ):
-            self._c_coalesced.inc()
-            return
-        # Clean before fsync: an append racing a background fsync re-marks
-        # dirty, so its bytes are never silently treated as committed.
-        self._dirty = False
-        try:
-            os.fsync(self._fh.fileno())
-        except Exception:
-            self._dirty = True
-            raise
-        self._last_fsync = self._clock()
-        self._c_fsyncs.inc()
+        if self.fsync():
+            self._last_fsync = self._clock()
 
     def sync_soon(self) -> None:
         """Group-commit without blocking the caller (the flush-path sync).
 
-        The coalescing window check runs inline — cheap, no thread dispatch
-        for the common no-op — but the actual fsync (~1-10 ms on a loaded
-        filesystem) is handed to the journal's background syncer thread, so
-        a micro-batch flush never stalls the event loop on the disk (Redis
-        fsyncs its AOF from a background thread for the same reason).  Hard
-        commit points keep calling :meth:`sync` ``(force=True)`` inline.
-        Without an executor (standalone journals) this degrades to a
-        synchronous :meth:`sync`.
+        The window check runs inline (no thread dispatch for the common
+        no-op); the fsync itself goes to the background syncer thread, or
+        runs inline for a standalone journal without an executor.
         """
-        if self._fh is None or not self._dirty or self._sync_inflight:
-            return
-        if (
-            self.config.sync == "group"
-            and self.config.group_window > 0
-            and self._clock() - self._last_fsync < self.config.group_window
-        ):
-            self._c_coalesced.inc()
+        if not self._dirty or self._sync_inflight or self._coalesced():
             return
         if self._executor is None:
             self.sync()
@@ -412,14 +314,9 @@ class TenantWal:
             self._sync_inflight = False
 
     def rotate(self) -> None:
-        """Close the active segment; the next append starts a fresh one."""
-        if self._fh is not None:
-            self.sync(force=True)
-            self._fh.close()
-            self._fh = None
-            self._segment_path = None
-            self._segment_bytes = 0
-            self._registry.counter("serving.wal.rotations").inc()
+        """Hard-commit and close the active segment; the next append starts a fresh one."""
+        self.sync(force=True)
+        super().rotate()
 
     # -- checkpoint and compaction -------------------------------------------
 
@@ -440,42 +337,15 @@ class TenantWal:
         self.checkpoint_seq = self.seq
         self.records_since_checkpoint = 0
         self._registry.counter("serving.wal.checkpoints", tenant=self.tenant).inc()
-        self.compact()
-        return self.seq
-
-    def compact(self) -> int:
-        """Delete segments fully covered by the checkpoint; returns count."""
-        removed = 0
-        for first_seq, path in self._segments():
-            # A segment is disposable when every record it can contain is
-            # <= checkpoint_seq; rotation-at-checkpoint guarantees segment
-            # boundaries align, so first_seq <= checkpoint_seq means the
-            # whole segment is covered unless it is the live tail.
-            if path == self._segment_path:
-                continue
-            last_in_segment = self._last_seq_of(first_seq)
-            if last_in_segment <= self.checkpoint_seq:
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
-        if removed:
-            self._registry.counter("serving.wal.compacted_segments").inc(removed)
-        return removed
-
-    def _last_seq_of(self, first_seq: int) -> int:
-        """The last sequence number a segment starting at ``first_seq`` holds."""
-        later = [s for s, _ in self._segments() if s > first_seq]
-        if later:
-            return min(later) - 1
+        self.compact(self.checkpoint_seq)
         return self.seq
 
     def load_checkpoint(self) -> tuple[int, object] | None:
         """``(covered_seq, state)`` from the checkpoint blob, if valid.
 
-        A missing, torn, or corrupt checkpoint returns ``None`` — recovery
-        falls back to replaying every segment from genesis.
+        A missing, torn, or corrupt checkpoint returns ``None``: recovery
+        replays from genesis, and :meth:`replay` reports the records that
+        compaction already removed.
         """
         payload = read_framed_blob(self.path / _CHECKPOINT)
         if payload is None:
@@ -488,46 +358,30 @@ class TenantWal:
 
     # -- replay ---------------------------------------------------------------
 
-    def replay(
-        self, *, after_seq: int | None = None, stats: FrameStats | None = None
-    ) -> Iterator[WalRecord]:
+    def replay(self, *, after_seq: int | None = None) -> Iterator[WalRecord]:
         """Yield journal records with ``seq > after_seq`` in order.
 
-        ``after_seq`` defaults to the checkpoint's covered sequence number.
-        Each segment is read up to its first bad frame (torn tails from a
-        crash are expected and counted in ``stats``); records a checkpoint
-        already covers are skipped, so overlapping segments replay
-        exactly once.
+        ``after_seq`` defaults to the checkpoint's covered sequence number,
+        and then the oldest segment must start right after it.  Mid-file
+        corruption, schema damage included, raises
+        :class:`~repro.resilience.CorruptLogError` (counted in
+        ``serving.wal.corrupt_records``).
         """
-        start = self.checkpoint_seq if after_seq is None else after_seq
-        if stats is None:
-            stats = FrameStats()
-        for _first_seq, path in self._segments():
-            segment_stats = FrameStats()
-            for record in iter_frames(path, segment_stats):
-                seq = record.get("seq")
-                if not isinstance(seq, int) or seq <= start:
-                    continue
-                op = record.get("op")
-                if op == "arrival":
-                    try:
-                        item = Item(
-                            record["id"],
-                            tuple(record["sizes"]),
-                            Interval(record["arrival"], record["departure"]),
-                            dict(record.get("tags", {})),
-                        )
-                    except (KeyError, TypeError, ValidationError):
-                        # A frame that passes CRC but fails the schema is
-                        # real damage, not a torn tail: stop this segment.
-                        segment_stats.torn += 1
-                        break
-                    yield WalRecord(op="arrival", seq=seq, item=item)
-                elif op == "advance":
-                    yield WalRecord(op="advance", seq=seq, time=float(record["t"]))
-            stats.records += segment_stats.records
-            stats.torn += segment_stats.torn
-            stats.bytes_read += segment_stats.bytes_read
+        try:
+            if after_seq is None:
+                after_seq = self.checkpoint_seq
+                found = segments(self.path)
+                if found and found[0][0] > after_seq + 1:
+                    first, path = found[0]
+                    raise CorruptLogError(
+                        path, 0, f"records {after_seq + 1}..{first - 1} are missing: "
+                        "no checkpoint covers them"
+                    )
+            for record, path, offset in read_log(self.path, after_seq=after_seq):
+                yield _decode(record, path, offset)
+        except CorruptLogError:
+            self._registry.counter("serving.wal.corrupt_records").inc()
+            raise
 
     def close(self) -> None:
         """Sync and close the active segment handle."""
@@ -601,11 +455,6 @@ class WriteAheadLog:
             if isinstance(tenant, str):
                 names.append(tenant)
         return sorted(names)
-
-    def sync_all(self) -> None:
-        """Group-commit every open tenant journal."""
-        for wal in self._tenants.values():
-            wal.sync()
 
     def close(self) -> None:
         """Sync and close every open tenant journal.

@@ -353,23 +353,35 @@ class TestKillAShard:
         assert coord.results() == run_sweep(tasks, executor="serial")
 
     def test_corrupted_shard_journal_is_healed_by_driver(self, tmp_path):
-        """Losing journal lines after completion is repaired, not fatal."""
+        """Losing journal records after completion is repaired, not fatal."""
         tasks = _grid(8, n=8)
         coord_dir = tmp_path / "coord"
         baseline = run_sharded_sweep(
             tasks, shards=2, coordinator_dir=coord_dir
         )
-        # Simulate post-hoc disk damage: tear every journal line so the
-        # done markers claim completion the journals can no longer prove.
-        for journal in (coord_dir / "journals").glob("*.ndjson"):
-            torn = "\n".join(
-                line[: len(line) // 2]
-                for line in journal.read_text().splitlines()
+        # Simulate post-hoc disk damage: flip a byte in every journal record
+        # (and leave a torn tail behind) so the done markers claim
+        # completion the journals can no longer prove.
+        damaged = 0
+        for journal in (coord_dir / "journals").iterdir():
+            segments = sorted(journal.glob("segment-*.wal"))
+            for segment in segments:
+                lines = segment.read_bytes().splitlines(keepends=True)
+                segment.write_bytes(
+                    b"".join(line[:20] + bytes([line[20] ^ 1]) + line[21:] for line in lines)
+                )
+                damaged += len(lines)
+            with open(segments[-1], "ab") as fh:
+                fh.write(b"\x00garbage")
+        registry = TelemetryRegistry()
+        with pytest.warns(RuntimeWarning, match="recomputed"):
+            healed = run_sharded_sweep(
+                tasks, shards=2, coordinator_dir=coord_dir, registry=registry
             )
-            journal.write_text(torn + "\n\x00garbage\n")
-        healed = run_sharded_sweep(tasks, shards=2, coordinator_dir=coord_dir)
         assert [o.ratio for o in healed] == [o.ratio for o in baseline]
         assert all(o.error is None for o in healed)
+        # every damaged record was reported, none silently skipped
+        assert registry.counter("resilience.journal.corrupt_records").value == damaged
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ The properties the PR gates on, bottom-up:
 * **framing** — CRC line frames and atomic framed blobs detect exactly
   where good data ends (torn tails, bit flips, truncation);
 * **journal mechanics** — segment rotation, sequence continuation across
-  reopen, checkpoint + compaction, torn-tail healing;
+  reopen, checkpoint + compaction, torn-tail healing, and mid-file damage
+  stopping recovery instead of truncating acknowledged records;
 * **recovery parity** — a rehydrated tenant (checkpoint + tail replay) is
   bit-identical to an uninterrupted session, the admission gate survives
   (duplicates of acked items stay rejected), and drain still proves
@@ -32,15 +33,15 @@ import time
 
 import pytest
 
-from repro.core import Interval, Item, ValidationError
+from repro.core import Interval, Item, ReproError, ValidationError
 from repro.core.batch import ArrivalBatch
 from repro.obs import TelemetryRegistry
 from repro.resilience import (
-    FrameStats,
+    CorruptLogError,
     frame_line,
-    iter_frames,
     parse_frame,
     read_framed_blob,
+    read_log,
     write_framed_blob,
 )
 from repro.serving import (
@@ -63,7 +64,7 @@ def _item(item_id: int, arrival: float, departure: float, size: float = 0.3) -> 
 
 
 # ---------------------------------------------------------------------------
-# CRC framing (repro.resilience.framing)
+# CRC framing (repro.resilience.log)
 # ---------------------------------------------------------------------------
 
 
@@ -104,27 +105,29 @@ class TestLineFrames:
         crc = zlib.crc32(payload.encode()) & 0xFFFFFFFF
         assert parse_frame(f"{crc:08x} {payload}") is None
 
-    def test_iter_frames_yields_the_valid_prefix(self, tmp_path):
-        path = tmp_path / "seg.wal"
-        good = [frame_line({"seq": k}) for k in range(3)]
+    def test_read_log_skips_the_torn_tail(self, tmp_path):
+        path = tmp_path / "segment-000000000001.wal"
+        good = [frame_line({"seq": k}) for k in range(1, 4)]
         path.write_text("".join(good) + "garbage torn tail", encoding="utf-8")
-        stats = FrameStats()
-        records = list(iter_frames(path, stats))
-        assert [r["seq"] for r in records] == [0, 1, 2]
-        assert stats.records == 3
-        assert stats.torn == 1
-        assert stats.bytes_read == sum(len(g.encode()) for g in good)
+        records = list(read_log(tmp_path))
+        assert [r["seq"] for r, _, _ in records] == [1, 2, 3]
+        assert [offset for _, _, offset in records] == [
+            sum(len(g.encode()) for g in good[:k]) for k in range(3)
+        ]
 
-    def test_iter_frames_stops_at_a_mid_file_flip(self, tmp_path):
-        path = tmp_path / "seg.wal"
-        lines = [frame_line({"seq": k}) for k in range(4)]
-        lines[1] = lines[1].replace("1", "9", 1)  # corrupt the CRC prefix
+    def test_read_log_reports_a_mid_file_flip(self, tmp_path):
+        path = tmp_path / "segment-000000000001.wal"
+        lines = [frame_line({"seq": k}) for k in range(1, 5)]
+        lines[1] = lines[1].replace("2", "9", 1)  # corrupt the CRC prefix
         path.write_text("".join(lines), encoding="utf-8")
-        # everything after the first bad frame is suspect and must not replay
-        assert [r["seq"] for r in iter_frames(path)] == [0]
+        # a bad frame mid-file is reported with its offset, never skipped
+        with pytest.raises(CorruptLogError) as err:
+            list(read_log(tmp_path))
+        assert err.value.offset == len(lines[0].encode())
+        assert str(path) in str(err.value)
 
     def test_missing_file_yields_nothing(self, tmp_path):
-        assert list(iter_frames(tmp_path / "nope.wal")) == []
+        assert list(read_log(tmp_path / "nope")) == []
 
 
 class TestBlobFrames:
@@ -272,6 +275,20 @@ class TestTenantWal:
         assert reopened.load_checkpoint() is None
         assert [r.item.id for r in reopened.replay(after_seq=0)] == [2]
 
+    def test_segments_no_checkpoint_covers_stop_recovery(self, tmp_path):
+        wal = _wal(tmp_path)
+        t = wal.tenant("a")
+        t.append_arrival(_item(1, 0.0, 2.0))
+        t.checkpoint({"n": 1})  # compacts away the segment holding seq 1
+        t.append_arrival(_item(2, 1.0, 3.0))
+        t.close()
+        (t.path / "checkpoint.ckpt").write_bytes(b"rotted")
+        runtime = ServingRuntime(SessionManager(), wal=_wal(tmp_path))
+        # replaying only the tail would silently lose acked record 1
+        with pytest.raises(CorruptLogError, match="records 1..1 are missing"):
+            recover(runtime)
+        assert "a" not in runtime.manager  # nothing half-restored
+
     def test_torn_tail_is_healed_before_new_appends(self, tmp_path):
         wal = _wal(tmp_path)
         t = wal.tenant("a")
@@ -296,12 +313,42 @@ class TestTenantWal:
         t.append_arrival(_item(1, 0.0, 2.0))
         t.close()
         segment = next(p for p in t.path.iterdir() if p.name.startswith("segment-"))
+        offset = segment.stat().st_size
         with open(segment, "a", encoding="utf-8") as fh:
             fh.write(frame_line({"op": "arrival", "seq": 2, "id": 9}))  # no sizes
-        stats = FrameStats()
-        records = list(_wal(tmp_path).tenant("a").replay(stats=stats))
-        assert [r.item.id for r in records] == [1]
-        assert stats.torn >= 1
+        reopened = _wal(tmp_path)
+        # CRC-valid but schema-broken is real damage, not a torn tail:
+        # replay stops with an error naming the segment and offset
+        with pytest.raises(CorruptLogError) as err:
+            list(reopened.tenant("a").replay())
+        assert err.value.path == segment
+        assert err.value.offset == offset
+        assert reopened.registry.counter("serving.wal.corrupt_records").value == 1
+
+    def test_mid_file_flip_stops_recovery_and_keeps_every_record(self, tmp_path):
+        wal = _wal(tmp_path, sync="always")
+        t = wal.tenant("a")
+        for k in range(10):  # each fsynced and acknowledged
+            t.append_arrival(_item(k, float(k), k + 2.0))
+        wal.close()
+        segment = next(t.path.glob("segment-*.wal"))
+        lines = segment.read_bytes().splitlines(keepends=True)
+        offset = len(lines[0]) + len(lines[1])
+        data = bytearray(segment.read_bytes())
+        data[offset + 20] ^= 0x01  # one flipped byte in record 3
+        segment.write_bytes(bytes(data))
+
+        runtime = ServingRuntime(SessionManager(), wal=_wal(tmp_path))
+        with pytest.raises(ReproError) as err:
+            recover(runtime)
+        assert str(segment) in str(err.value)
+        assert f"at byte {offset}" in str(err.value)
+        # nothing was truncated: all ten records are still on disk...
+        assert segment.read_bytes() == bytes(data)
+        # ...and the sequence counter did not restart behind the damage
+        reopened = _wal(tmp_path).tenant("a")
+        assert reopened.seq == 10
+        assert reopened.append_arrival(_item(10, 10.0, 12.0)) == 11
 
     def test_sync_always_fsyncs_per_append(self, tmp_path):
         wal = _wal(tmp_path, sync="always")
@@ -452,10 +499,9 @@ class TestTenantWal:
         reopened = TenantWal(
             "a", tmp_path / "wal" / "a", WalConfig(), TelemetryRegistry()
         )
-        stats = FrameStats()
-        replayed = [r.item.id for r in reopened.replay(after_seq=0, stats=stats)]
+        # replay raises on any damage, so a clean read proves the tail whole
+        replayed = [r.item.id for r in reopened.replay(after_seq=0)]
         assert replayed == [1, 2]
-        assert stats.torn == 0
 
 
 class TestWriteAheadLog:
