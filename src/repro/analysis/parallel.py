@@ -1,16 +1,20 @@
 """Parallel experiment execution over seed/parameter grids, fault-tolerant.
 
-Ratio sweeps are embarrassingly parallel: each (algorithm, workload, seed)
-cell is independent, and the exact ``opt_total`` denominator dominates the
-cell's cost.  This module fans cells out over a ``ProcessPoolExecutor``
-(bypassing the GIL — the work is pure Python/numpy compute), following the
-HPC guides' guidance to parallelise at the outermost independent loop.
+Ratio sweeps are embarrassingly parallel across instances.  The exact
+``opt_total`` denominator dominates a cell's cost and depends only on the
+instance, not on the packer, so the unit of work is an **instance group**:
+the cells that share one workload spec run as one job that generates the
+items once, resolves the denominator once and packs them once per cell.
+This module fans groups out over a ``ProcessPoolExecutor`` (bypassing the
+GIL — the work is pure Python/numpy compute), following the HPC guides'
+guidance to parallelise at the outermost independent loop.
 
 Partial failure is first-class, not fatal:
 
-* a worker exception (or a ``BrokenProcessPool`` taking the whole pool
-  down) **isolates** to its cell — the sweep completes and the cell
-  surfaces as a :class:`SweepOutcome` with its ``error`` field set;
+* a worker exception **isolates** to its cell (a ``BrokenProcessPool``
+  taking the whole pool down, to its unfinished groups) — the sweep
+  completes and the cell surfaces as a :class:`SweepOutcome` with its
+  ``error`` field set;
 * failed cells are **retried** per the sweep's
   :class:`~repro.resilience.RetryPolicy` (exponential backoff,
   deterministic jitter), in a fresh pool each round so a broken pool never
@@ -18,8 +22,9 @@ Partial failure is first-class, not fatal:
 * a :class:`~repro.resilience.CheckpointJournal` (``checkpoint=``) records
   each completed cell as it finishes, so an interrupted sweep **resumes**
   its completed cells on rerun with bit-identical results;
-* a per-cell wall-clock ``deadline`` bounds the exact adversary, degrading
-  to certified bounds (``exact=False``) instead of running unbounded.
+* a wall-clock ``deadline`` bounds each instance's one adversary solve,
+  degrading to certified bounds (``exact=False``) instead of running
+  unbounded.
 
 Tasks are plain picklable dataclasses naming registered packers and workload
 generators, so worker processes can reconstruct everything from the spec —
@@ -29,6 +34,7 @@ increment ``resilience.sweep.*`` telemetry cells in the driver registry.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import (
     Executor,
@@ -43,9 +49,11 @@ from typing import Mapping, Sequence
 from ..algorithms.adversary import MemoCache
 from ..algorithms.base import get_packer
 from ..algorithms.optimal import SolverStats
+from ..bounds.opt_bounds import DenominatorInfo, resolve_denominator
 from ..core.exceptions import ValidationError
+from ..core.items import ItemList
 from ..obs import TelemetryRegistry, TelemetrySnapshot, enabled as _telemetry_enabled
-from ..resilience import ChaosInjector, CheckpointJournal, RetryPolicy, task_key
+from ..resilience import ChaosInjector, CheckpointJournal, InjectedFault, RetryPolicy, task_key
 from ..resilience.deadline import Deadline
 from ..workloads import (
     bounded_mu,
@@ -57,7 +65,7 @@ from ..workloads import (
     uniform_random,
     vector_uniform,
 )
-from .ratios import measured_ratio
+from .ratios import RatioMeasurement
 
 __all__ = ["SweepTask", "SweepOutcome", "run_sweep", "WORKLOAD_GENERATORS"]
 
@@ -101,6 +109,8 @@ class SweepOutcome:
     ``solver`` carries the cell's adversary counters
     (:class:`~repro.algorithms.SolverStats`): nodes, prunes, memo and
     warm-start hits — merge them across outcomes for a sweep-level view.
+    Only the one cell of each instance that ran the shared solve has
+    non-zero counters.
     ``telemetry`` is the worker's full
     :class:`~repro.obs.TelemetrySnapshot` (the solver counters plus the
     cell's spans), ready to :meth:`~repro.obs.TelemetryRegistry.merge` into
@@ -139,52 +149,95 @@ class SweepOutcome:
         return self.error is None
 
 
-def _run_one(
-    task: SweepTask,
-    index: int = 0,
+def _error(exc: BaseException) -> str:
+    """A failed cell's ``error`` string."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_group(
+    tasks: Sequence[SweepTask],
+    indices: Sequence[int],
     attempt: int = 0,
     memo_path: str | None = None,
     chaos: ChaosInjector | None = None,
     deadline_s: float | None = None,
-) -> SweepOutcome:
-    """Worker entry point (module-level for pickling)."""
-    if chaos is not None and chaos.crashes(index, attempt):
-        from ..resilience.chaos import InjectedFault
+) -> list[SweepOutcome | str]:
+    """Worker entry point (module-level for pickling): one instance's cells.
 
-        raise InjectedFault(f"chaos: injected crash (cell {index}, attempt {attempt})")
-    registry = TelemetryRegistry()
-    generator = WORKLOAD_GENERATORS[task.workload]
-    kwargs = dict(task.workload_kwargs)
+    ``tasks`` share one workload spec, so the instance is generated once and
+    its adversary denominator resolved once, by the first cell that gets
+    that far, inside that cell's ``sweep.cell`` span and on its
+    :class:`SolverStats`; every cell packs the shared items.  Cells fail on
+    their own: a failed cell's slot holds its ``"ExcType: message"`` string,
+    and the next cell takes over the generation and the solve.
+    """
+    generator = WORKLOAD_GENERATORS[tasks[0].workload]
+    kwargs = dict(tasks[0].workload_kwargs)
     n = kwargs.pop("n", None)
-    packer = get_packer(task.packer, **dict(task.packer_kwargs))
-    stats = SolverStats(registry=registry)
-    memo = MemoCache(memo_path, registry=registry) if memo_path is not None else None
-    deadline = Deadline.after(deadline_s) if deadline_s is not None else None
-    if chaos is not None and chaos.solver_stall > 0:
-        # The stall burns into the already-started deadline, exactly like a
-        # wedged solver would; degradation must still answer in bounded time.
-        time.sleep(chaos.solver_stall)
+    items: ItemList | None = None
+    info: DenominatorInfo | None = None
     timed = _telemetry_enabled()
-    t0 = time.perf_counter() if timed else 0.0
-    with registry.span("sweep.cell"):
-        items = generator(n, **kwargs) if n is not None else generator(**kwargs)
-        m = measured_ratio(packer, items, memo=memo, stats=stats, deadline=deadline)
-    if timed:
-        registry.histogram("sweep.cell_latency").observe(time.perf_counter() - t0)
-    if memo is not None:
-        memo.save()
-    registry.counter("sweep.cells").inc()
-    return SweepOutcome(
-        task=task,
-        usage=m.usage,
-        denominator=m.denominator,
-        ratio=m.ratio,
-        exact=m.exact,
-        solver=stats,
-        telemetry=registry.snapshot(),
-        attempts=attempt + 1,
-        degraded_reason=m.degraded_reason,
-    )
+    results: list[SweepOutcome | str] = []
+    for task, index in zip(tasks, indices):
+        try:
+            if chaos is not None and chaos.crashes(index, attempt):
+                raise InjectedFault(
+                    f"chaos: injected crash (cell {index}, attempt {attempt})"
+                )
+            registry = TelemetryRegistry()
+            packer = get_packer(task.packer, **dict(task.packer_kwargs))
+            stats = SolverStats(registry=registry)
+            solves = info is None
+            memo = (
+                MemoCache(memo_path, registry=registry)
+                if solves and memo_path is not None
+                else None
+            )
+            deadline = Deadline.after(deadline_s) if solves and deadline_s is not None else None
+            if solves and chaos is not None and chaos.solver_stall > 0:
+                # The stall burns into the already-started deadline, exactly
+                # like a wedged solver would; degradation must still answer
+                # in bounded time.
+                time.sleep(chaos.solver_stall)
+            t0 = time.perf_counter() if timed else 0.0
+            with registry.span("sweep.cell"):
+                if items is None:
+                    items = generator(n, **kwargs) if n is not None else generator(**kwargs)
+                usage = packer.pack(items).total_usage()
+                if solves:
+                    info = resolve_denominator(items, memo=memo, stats=stats, deadline=deadline)
+            if timed:
+                registry.histogram("sweep.cell_latency").observe(time.perf_counter() - t0)
+            if memo is not None:
+                memo.save()
+            registry.counter("sweep.cells").inc()
+        except Exception as exc:  # noqa: BLE001 - crash isolation
+            results.append(_error(exc))
+            continue
+        m = RatioMeasurement(usage, info.value, info.exact, info.degraded_reason)
+        results.append(
+            SweepOutcome(
+                task=task,
+                usage=m.usage,
+                denominator=m.denominator,
+                ratio=m.ratio,
+                exact=m.exact,
+                solver=stats,
+                telemetry=registry.snapshot(),
+                attempts=attempt + 1,
+                degraded_reason=m.degraded_reason,
+            )
+        )
+    return results
+
+
+def _instance_groups(tasks: Sequence[SweepTask], pending: Sequence[int]) -> list[list[int]]:
+    """``pending`` task indices grouped by instance, in first-seen order."""
+    groups: dict[str, list[int]] = {}
+    for i in pending:
+        spec = {"workload": tasks[i].workload, "workload_kwargs": dict(tasks[i].workload_kwargs)}
+        groups.setdefault(task_key(spec), []).append(i)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +327,21 @@ def run_sweep(
     completion order, so sweep reports and ``"last"``-aggregated gauges are
     deterministic regardless of worker scheduling.
 
-    Failure semantics: a cell whose worker raises (or whose process pool
-    breaks) is retried per ``retry``; a cell that exhausts its retries is
-    returned as an error outcome (:attr:`SweepOutcome.error` set) instead of
-    aborting the sweep.  Each retry round runs in a **fresh** pool, so even
-    a ``BrokenProcessPool`` only costs the round's unfinished cells one
-    extra attempt.
+    Pending cells that share an instance (the same ``workload`` and
+    ``workload_kwargs``) run as one job: the items are generated and the
+    adversary denominator resolved once, by the group's first cell that
+    does not fail, and every cell packs the same items.  That cell's
+    ``sweep.cell`` span and :class:`~repro.algorithms.SolverStats` carry
+    the solve; the others carry only their pack, so summed counters equal
+    the work done.  Outcomes, journal records and resume stay per cell.
+
+    Failure semantics: a cell that raises is retried per ``retry``, and the
+    next cell of its group takes over the solve; a cell that exhausts its
+    retries is returned as an error outcome (:attr:`SweepOutcome.error`
+    set) instead of aborting the sweep.  Each retry round regroups the
+    failed cells and runs in a **fresh** pool, so even a
+    ``BrokenProcessPool`` only costs the unfinished groups' cells one extra
+    attempt.
 
     Args:
         tasks: The experiment cells.
@@ -288,9 +350,10 @@ def run_sweep(
             ``"thread"`` (useful under debuggers), or ``"serial"``.
         memo_path: Optional path of a disk-backed adversary
             :class:`~repro.algorithms.MemoCache` shared by every cell: each
-            worker loads it before measuring and merge-saves after, so
-            repeated runs (and cells sharing slices) stop recomputing
-            identical bin packing instances.
+            instance group's solving cell loads it before the solve and
+            merge-saves it right after, once per instance, so repeated runs
+            (and instances sharing slices) stop recomputing identical bin
+            packing instances.
         registry: Optional driver-side :class:`~repro.obs.TelemetryRegistry`
             every cell's telemetry snapshot is merged into (in task order),
             plus the driver's ``resilience.sweep.*`` counters.
@@ -300,11 +363,13 @@ def run_sweep(
             :class:`~repro.resilience.CheckpointJournal`: completed cells
             are appended as they finish, and cells already in the journal
             are restored instead of rerun (``from_checkpoint=True``).
-        deadline: Optional per-cell wall-clock budget in seconds for the
-            exact adversary; on expiry the cell degrades to certified
-            bounds (``exact=False``, ``degraded_reason="deadline"``).
+        deadline: Optional wall-clock budget in seconds for the one exact
+            adversary solve an instance's cells share; on expiry the
+            instance degrades to certified bounds, and every cell of it
+            reports ``exact=False``, ``degraded_reason="deadline"``.
         chaos: Optional seeded :class:`~repro.resilience.ChaosInjector`
-            (fault-injection tests and failure rehearsals only).
+            (fault-injection tests and failure rehearsals only).  Crashes
+            target single cells; a ``solver_stall`` burns once per solve.
         index_offset: Added to each task's position when deriving its cell
             index (chaos targeting, injected-fault messages).  Sharded
             sweeps pass the cell's grid-global index here so a shard
@@ -337,14 +402,22 @@ def run_sweep(
                 completed[i] = _outcome_from_record(task, record)
                 resumed += 1
 
-    def record_success(i: int, outcome: SweepOutcome) -> None:
+    def settle(
+        group: list[int],
+        results: Sequence[SweepOutcome | str],
+        failures: list[tuple[int, str]],
+    ) -> None:
         nonlocal checkpointed
-        completed[i] = outcome
-        if journal is not None:
-            # Appended as cells finish (not at sweep end), so a killed run
-            # keeps everything completed so far.
-            journal.append(keys[i], _outcome_record(outcome))
-            checkpointed += 1
+        for i, result in zip(group, results):
+            if isinstance(result, str):
+                failures.append((i, result))
+                continue
+            completed[i] = result
+            if journal is not None:
+                # Appended as groups finish (not at sweep end), so a killed
+                # run keeps everything completed so far.
+                journal.append(keys[i], _outcome_record(result))
+                checkpointed += 1
 
     pending = [i for i in range(len(tasks)) if i not in completed]
     attempt = 0
@@ -354,16 +427,16 @@ def run_sweep(
             if delay > 0:
                 time.sleep(delay)
         failures: list[tuple[int, str]] = []
+        work = functools.partial(
+            _run_group, attempt=attempt, memo_path=memo_path, chaos=chaos, deadline_s=deadline
+        )
+        jobs = [
+            (group, [tasks[i] for i in group], [index_offset + i for i in group])
+            for group in _instance_groups(tasks, pending)
+        ]
         if executor == "serial":
-            for i in pending:
-                try:
-                    outcome = _run_one(
-                        tasks[i], index_offset + i, attempt, memo_path, chaos, deadline
-                    )
-                except Exception as exc:  # noqa: BLE001 - crash isolation
-                    failures.append((i, f"{type(exc).__name__}: {exc}"))
-                else:
-                    record_success(i, outcome)
+            for group, group_tasks, indices in jobs:
+                settle(group, work(group_tasks, indices), failures)
         else:
             pool_cls: type[Executor] = (
                 ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
@@ -371,26 +444,17 @@ def run_sweep(
             # A fresh pool per round: a BrokenProcessPool marks the round's
             # unfinished futures as failures and dies with the round.
             with pool_cls(max_workers=max_workers) as pool:
-                index_of: dict[Future[SweepOutcome], int] = {
-                    pool.submit(
-                        _run_one,
-                        tasks[i],
-                        index_offset + i,
-                        attempt,
-                        memo_path,
-                        chaos,
-                        deadline,
-                    ): i
-                    for i in pending
+                group_of: dict[Future[list[SweepOutcome | str]], list[int]] = {
+                    pool.submit(work, group_tasks, indices): group
+                    for group, group_tasks, indices in jobs
                 }
-                for future in as_completed(index_of):
-                    i = index_of[future]
+                for future in as_completed(group_of):
+                    group = group_of[future]
                     try:
-                        outcome = future.result()
+                        results = future.result()
                     except Exception as exc:  # noqa: BLE001 - crash isolation
-                        failures.append((i, f"{type(exc).__name__}: {exc}"))
-                    else:
-                        record_success(i, outcome)
+                        results = [_error(exc)] * len(group)
+                    settle(group, results, failures)
         if not failures:
             break
         crashes += len(failures)

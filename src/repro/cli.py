@@ -60,8 +60,8 @@ Resilience: ``serve --fault-policy {strict,skip,clamp}`` (with an optional
 records and inconsistent events; ``sweep`` gains ``--retries N``
 (per-cell retry with backoff), ``--checkpoint DIR`` (a CRC-framed segment
 log journal — rerunning with the same directory resumes completed cells) and
-``--deadline SECONDS`` (per-cell adversary wall-clock budget with graceful
-degradation to certified bounds).  See ``docs/RESILIENCE.md``.
+``--deadline SECONDS`` (wall-clock budget of each instance's adversary
+solve with graceful degradation to certified bounds).  See ``docs/RESILIENCE.md``.
 """
 
 from __future__ import annotations
@@ -1365,8 +1365,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="per-cell wall-clock budget for the exact adversary; on expiry the "
-        "cell degrades to certified lower bounds (exact=false) instead of hanging",
+        help="wall-clock budget for each instance's exact adversary solve; on expiry "
+        "its cells degrade to certified lower bounds (exact=false) instead of hanging",
     )
     swp.add_argument(
         "--shards",

@@ -55,6 +55,7 @@ from ..core.intervals import Interval
 from ..core.items import Item
 from ..engine import EngineSnapshot
 from ..obs import TelemetryRegistry
+from ..resilience import CorruptLogError
 from ..workloads import parse_arrival
 from .manager import ClosedTenant, SessionManager, TenantLimitError
 from .protocol import DEFAULT_TENANT
@@ -250,9 +251,9 @@ class ServingRuntime:
         the record position in messages is the tenant's 1-based arrival
         count on this runtime.
         """
-        q = self._queue(tenant)
-        if q is None:
-            return self._reject(tenant, "tenant_limit", "tenant limit reached")
+        q = self._admission_queue(tenant)
+        if isinstance(q, Admission):
+            return q
         q.records += 1
         # _queue() opened the session, so the tenant's configured policy
         # governs decode faults from the very first record.
@@ -308,9 +309,9 @@ class ServingRuntime:
                     queue_depth=self.queue_depth(tenant),
                     retry_ms=retry_ms,
                 )
-        q = self._queue(tenant)
-        if q is None:
-            return self._reject(tenant, "tenant_limit", "tenant limit reached")
+        q = self._admission_queue(tenant)
+        if isinstance(q, Admission):
+            return q
         if len(q.pending) >= self.queue_limit:
             self.registry.counter(
                 "serving.rejects", tenant=tenant, reason="backpressure"
@@ -398,6 +399,21 @@ class ServingRuntime:
             queue_depth=self.queue_depth(tenant),
             error=error,
         )
+
+    def _admission_queue(self, tenant: str) -> _TenantQueue | Admission:
+        """The tenant's queue, or the rejection that answers the offer.
+
+        A damaged journal met while rehydrating an evicted tenant answers
+        ``wal_error``: the corruption is reported, and the tenant stays
+        out of memory rather than restarting without its records.
+        """
+        try:
+            q = self._queue(tenant)
+        except CorruptLogError as exc:
+            return self._reject(tenant, "wal_error", f"journal recovery failed: {exc}")
+        if q is None:
+            return self._reject(tenant, "tenant_limit", "tenant limit reached")
+        return q
 
     def _queue(self, tenant: str) -> _TenantQueue | None:
         """Get or create the tenant's queue; ``None`` over the tenant cap.

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import MemoCache, SolverStats, SweepTask, run_sweep
+from repro.algorithms import get_packer
+from repro.analysis import MemoCache, SolverStats, SweepTask, measured_ratio, run_sweep
+from repro.analysis.parallel import WORKLOAD_GENERATORS
 from repro.core import ValidationError
+from repro.resilience import ChaosInjector
 
 
 def make_tasks() -> list[SweepTask]:
@@ -120,3 +123,104 @@ class TestRunSweep:
             executor="serial",
         )
         assert outcomes[0].ratio >= 1.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# instance groups: one adversary solve per instance
+# ---------------------------------------------------------------------------
+
+RATIO_PACKERS = (
+    ("first-fit", {}),
+    ("classify-duration", {"alpha": 2.0}),
+    ("classify-departure", {"rho": 4.0}),
+)
+
+#: Exactly solvable instances of two generators.
+EXACT_INSTANCES = (
+    ("uniform", {"n": 20, "seed": 0}),
+    ("uniform", {"n": 20, "seed": 1}),
+    ("bounded-mu", {"n": 15, "seed": 1, "mu": 8.0}),
+)
+#: Past the exact adversary's size ceiling: degrades to bounds.
+LARGE_INSTANCE = ("uniform", {"n": 210, "seed": 3})
+
+
+def grid(instances=EXACT_INSTANCES) -> list[SweepTask]:
+    """3 packers x ``instances``, packer-major, so groups are not contiguous."""
+    return [
+        SweepTask(
+            packer=packer,
+            packer_kwargs=packer_kwargs,
+            workload=workload,
+            workload_kwargs=workload_kwargs,
+            label=f"{packer} {workload} {workload_kwargs}",
+        )
+        for packer, packer_kwargs in RATIO_PACKERS
+        for workload, workload_kwargs in instances
+    ]
+
+
+def fields(outcome) -> tuple:
+    return (
+        outcome.usage,
+        outcome.denominator,
+        outcome.ratio,
+        outcome.exact,
+        outcome.degraded_reason,
+    )
+
+
+def per_cell(task: SweepTask) -> tuple:
+    """The cell measured on its own, through the public ``measured_ratio``."""
+    kwargs = dict(task.workload_kwargs)
+    items = WORKLOAD_GENERATORS[task.workload](kwargs.pop("n"), **kwargs)
+    packer = get_packer(task.packer, **dict(task.packer_kwargs))
+    m = measured_ratio(packer, items)
+    return (m.usage, m.denominator, m.ratio, m.exact, m.degraded_reason)
+
+
+class TestInstanceGroups:
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_grouped_matches_per_cell_measured_ratio(self, executor):
+        tasks = grid(EXACT_INSTANCES + (LARGE_INSTANCE,))
+        outcomes = run_sweep(tasks, executor=executor, max_workers=2)
+        assert [o.task for o in outcomes] == tasks
+        assert [fields(o) for o in outcomes] == [per_cell(t) for t in tasks]
+        degraded = [o for o in outcomes if o.task.workload_kwargs["n"] == 210]
+        assert len(degraded) == 3
+        assert all(o.degraded_reason == "instance_too_large" for o in degraded)
+
+    def test_one_full_eval_per_instance(self):
+        outcomes = run_sweep(grid(), executor="serial")
+        merged = SolverStats()
+        for o in outcomes:
+            merged.merge(o.solver)
+        assert len(outcomes) == 3 * len(EXACT_INSTANCES)
+        assert merged.full_evals == len(EXACT_INSTANCES)
+        # Each instance's solve rides on exactly one of its cells.
+        assert sorted(o.solver.full_evals for o in outcomes) == [0] * 6 + [1] * 3
+
+    def test_crashed_solver_cell_hands_the_solve_on(self):
+        tasks = grid()
+        # Cell 0 is the first cell of instance 0's group (cells 0, 3, 6).
+        chaos = ChaosInjector(crash_index=0, crash_attempts=1)
+        outcomes = run_sweep(tasks, executor="serial", chaos=chaos)
+        clean = run_sweep(tasks, executor="serial")
+        assert not outcomes[0].ok
+        assert outcomes[0].error.startswith("InjectedFault")
+        assert all(o.ok for o in outcomes[1:])
+        assert [fields(o) for o in outcomes[1:]] == [fields(o) for o in clean[1:]]
+        assert outcomes[3].exact and outcomes[6].exact
+        assert outcomes[3].solver.full_evals == 1
+        assert outcomes[6].solver.full_evals == 0
+
+    def test_resume_recomputes_the_rest_of_a_group(self, tmp_path):
+        tasks = [t for t in grid() if t.workload == "bounded-mu"]
+        ck = str(tmp_path / "journal")
+        first = run_sweep(tasks[:1], executor="serial", checkpoint=ck)
+        resumed = run_sweep(tasks, executor="serial", checkpoint=ck)
+        fresh = run_sweep(tasks, executor="serial")
+        assert [o.from_checkpoint for o in resumed] == [True, False, False]
+        assert fields(resumed[0]) == fields(first[0])
+        assert [fields(o) for o in resumed] == [fields(o) for o in fresh]
+        assert sum(o.solver.full_evals for o in resumed[1:]) == 1

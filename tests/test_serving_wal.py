@@ -724,6 +724,44 @@ class TestEviction:
         asyncio.run(scenario())
 
 
+    def test_corrupt_journal_on_rehydration_is_a_wal_error(self, tmp_path):
+        root = tmp_path / "wal"
+        # A crashed process left tenant "a" journaled but not resident.
+        first = WriteAheadLog(root, config=WalConfig(sync="always"))
+        for k in range(10):
+            first.tenant("a").append_arrival(_item(k, 0.5 * k, 0.5 * k + 4.0))
+        first.close()
+        segment = sorted((root / _tenant_dirname("a")).glob("segment-*.wal"))[-1]
+        data = bytearray(segment.read_bytes())
+        offset = sum(len(line) for line in data.splitlines(keepends=True)[:3])
+        data[offset + 20] ^= 0x01  # mid-file corruption in record 4
+        segment.write_bytes(bytes(data))
+
+        async def scenario():
+            rt = ServingRuntime(
+                SessionManager(),
+                wal=WriteAheadLog(root),
+                max_resident=1,
+                batch_size=64,
+                batch_deadline=30.0,
+            )
+            assert rt.offer("b", _item(1, 0.0, 2.0)).admitted
+            # The lazy rehydration evicts "b", then reads the damaged journal.
+            line = json.dumps({"id": 10, "size": 0.3, "arrival": 5.0, "departure": 9.0})
+            verdict = rt.offer_line("a", line)
+            assert verdict.status == "rejected" and verdict.reason == "wal_error"
+            assert segment.name in verdict.error and f"byte {offset}" in verdict.error
+            assert rt.offer("a", _item(11, 5.0, 9.0)).reason == "wal_error"
+            assert "a" not in rt.manager
+            counter = rt.registry.counter("serving.rejects", tenant="a", reason="wal_error")
+            assert counter.value == 2
+            rt.wal.close()
+
+        asyncio.run(scenario())
+        # Reported, never truncated: every acknowledged byte is still on disk.
+        assert segment.read_bytes() == bytes(data)
+
+
 # ---------------------------------------------------------------------------
 # rate limiting
 # ---------------------------------------------------------------------------
