@@ -50,7 +50,7 @@ from typing import Sequence
 
 from typing import TYPE_CHECKING
 
-from ..core.events import EventArrays, SizeSlice, active_size_slices
+from ..core.events import EventArrays, active_size_slices
 from ..core.exceptions import ValidationError
 from ..core.items import ItemList
 from ..core.stepfun import DEFAULT_TOL
@@ -425,16 +425,25 @@ def _merge_windows(windows: list[tuple[float, float]]) -> list[tuple[float, floa
     return merged
 
 
+#: The oracle's remembered evaluation: per-slice size multisets, per-slice
+#: optima and the timeline whose ``times`` bound the slices.
+_SliceState = tuple[list[tuple[float, ...]], list[int], EventArrays]
+
+
 class AdversaryOracle:
     """A stateful ``OPT_total`` evaluator with an incremental mutation path.
 
-    The oracle remembers the slice decomposition (boundaries, multisets,
-    exact per-slice optima) of the last instance it evaluated.  When the
-    next instance covers the same item ids and differs only in some items'
-    sizes or intervals — exactly what one hill-climb mutation produces —
-    it recomputes only the slices intersecting the mutated items' old/new
-    time windows; every other slice's multiset and count are spliced from
-    the previous evaluation without rescanning a single item.  The final
+    The oracle remembers the slice decomposition of the last instance it
+    evaluated as three parallel lists: the sorted event times, and per
+    elementary slice ``[times[k], times[k+1])`` its ascending size multiset
+    and exact optimum.  When the next instance covers the same item ids and
+    differs only in some items' sizes or intervals — exactly what one
+    hill-climb mutation produces — it maps the mutated items' old/new time
+    windows to index ranges of the new timeline and recomputes only those
+    slices; each run of untouched slices between windows is spliced from
+    the previous evaluation with one list slice.  Slice boundaries always
+    come from the new timeline, so a spliced run that ends (or starts) at a
+    mutated item's new event time keeps the right width.  The final
     integral is re-summed left to right over all slices, so the result is
     bit-identical to a from-scratch :func:`opt_total` of the new instance.
 
@@ -458,7 +467,7 @@ class AdversaryOracle:
         "memo",
         "stats",
         "_items",
-        "_slices",
+        "_sizes",
         "_counts",
         "_events",
     )
@@ -480,13 +489,13 @@ class AdversaryOracle:
         self.memo = memo if memo is not None else MemoCache()
         self.stats = stats if stats is not None else SolverStats()
         self._items: ItemList | None = None
-        self._slices: list[SizeSlice] | None = None
+        self._sizes: list[tuple[float, ...]] | None = None
         self._counts: list[int] | None = None
         self._events: EventArrays | None = None
 
     def reset(self) -> None:
         """Forget the remembered baseline (the memo cache is kept)."""
-        self._items = self._slices = self._counts = self._events = None
+        self._items = self._sizes = self._counts = self._events = None
 
     def opt_total(self, items: ItemList) -> float:
         """Exact ``OPT_total(items)``, incrementally when possible.
@@ -497,24 +506,24 @@ class AdversaryOracle:
         """
         if not items:
             return 0.0
-        slices: list[SizeSlice] | None = None
-        counts: list[int] | None = None
-        events: EventArrays | None = None
+        state: _SliceState | None = None
         if self._items is not None:
             changed = self._items.changed_ids(items)
             if changed is not None:
                 if not changed:
-                    slices, counts, events = self._slices, self._counts, self._events
+                    state = self._sizes, self._counts, self._events  # type: ignore[assignment]
                 elif len(changed) <= max(2, int(len(items) * self._INCREMENTAL_FRACTION)):
-                    slices, counts, events = self._incremental(items, changed)
-        if slices is None or counts is None:
-            slices, counts, events = self._full(items)
+                    state = self._incremental(items, changed)
+        if state is None:
+            state = self._full(items)
+        sizes, counts, events = state
+        times = events.times
         total = 0.0
-        for sl, count in zip(slices, counts):
-            if sl.sizes:
-                total += count * (sl.right - sl.left)
-        self._items, self._slices, self._counts = items, slices, counts
-        self._events = events
+        for k, active in enumerate(sizes):
+            if active:
+                total += counts[k] * (times[k + 1] - times[k])
+        self._items = items
+        self._sizes, self._counts, self._events = state
         return total
 
     # -- evaluation paths ---------------------------------------------------
@@ -529,28 +538,25 @@ class AdversaryOracle:
             stats=self.stats,
         )
 
-    def _full(
-        self, items: ItemList
-    ) -> tuple[list[SizeSlice], list[int], EventArrays]:
+    def _full(self, items: ItemList) -> _SliceState:
         events = EventArrays.from_items(items)
-        slices: list[SizeSlice] = []
+        sizes: list[tuple[float, ...]] = []
         counts: list[int] = []
         prev_count = 0
         for sl in events.slices():
             self.stats.slices += 1
             count = self._count(sl.sizes, prev_count + sl.added) if sl.sizes else 0
-            slices.append(sl)
+            sizes.append(sl.sizes)
             counts.append(count)
             prev_count = count
         self.stats.full_evals += 1
-        return slices, counts, events
+        return sizes, counts, events
 
-    def _incremental(
-        self, items: ItemList, changed: list[int]
-    ) -> tuple[list[SizeSlice], list[int], EventArrays]:
-        assert self._items is not None and self._slices is not None
-        assert self._counts is not None
-        old_items, old_slices, old_counts = self._items, self._slices, self._counts
+    def _incremental(self, items: ItemList, changed: list[int]) -> _SliceState:
+        assert self._items is not None and self._events is not None
+        assert self._sizes is not None and self._counts is not None
+        old_items, old_sizes, old_counts = self._items, self._sizes, self._counts
+        old_times = self._events.times
         old_changed = [old_items.by_id(i) for i in changed]
         new_changed = [items.by_id(i) for i in changed]
         raw_windows: list[tuple[float, float]] = []
@@ -572,66 +578,74 @@ class AdversaryOracle:
                 raw_windows.append(
                     (min(o.arrival, n.arrival), max(o.departure, n.departure))
                 )
-        windows = _merge_windows(raw_windows)
-        window_los = [w[0] for w in windows]
-        old_lefts = [sl.left for sl in old_slices]
-
-        def old_state_at(t: float) -> tuple[tuple[float, ...], int]:
-            """Old multiset and count at time ``t`` (empty outside coverage)."""
-            idx = bisect_right(old_lefts, t) - 1
-            if 0 <= idx and t < old_slices[idx].right:
-                return old_slices[idx].sizes, old_counts[idx]
-            return (), 0
-
-        def in_window(left: float, right: float) -> bool:
-            # Windows are merged (disjoint, sorted), so the last window
-            # starting strictly before `right` is the only candidate for an
-            # overlap with the half-open slice [left, right).
-            k = bisect_left(window_los, right) - 1
-            return k >= 0 and left < windows[k][1]
 
         # Presort reuse: splice the mutated items' event times into the
         # baseline's sorted timeline instead of re-sorting all 2n events per
         # mutation.  The resulting boundaries are bit-identical to
         # ``items.event_times()`` (same floats, same order).
-        events: EventArrays | None = None
-        if self._events is not None:
-            try:
-                events = self._events.retimed(old_changed, new_changed)
-            except ValidationError:
-                events = None  # baseline timeline mismatch: rebuild below
-        if events is None:
-            events = EventArrays.from_items(items)
+        try:
+            events = self._events.retimed(old_changed, new_changed)
+        except ValidationError:
+            events = EventArrays.from_items(items)  # baseline mismatch: rebuild
         times = events.times
-        slices: list[SizeSlice] = []
-        counts: list[int] = []
-        prev_sizes: tuple[float, ...] = ()
-        prev_count = 0
-        for left, right in zip(times[:-1], times[1:]):
-            self.stats.slices += 1
-            if not in_window(left, right):
-                sizes, count = old_state_at(left)
-                self.stats.slices_reused += 1
+        n_slices = len(times) - 1
+
+        # Slice k = [times[k], times[k+1]) meets the window [lo, hi) iff
+        # bisect_right(times, lo) - 1 <= k < bisect_left(times, hi).
+        ranges: list[tuple[int, int]] = []
+        for lo, hi in _merge_windows(raw_windows):
+            a = max(bisect_right(times, lo) - 1, 0)
+            b = min(bisect_left(times, hi), n_slices)
+            if a >= b:
+                continue
+            if ranges and a <= ranges[-1][1]:
+                ranges[-1] = (ranges[-1][0], max(ranges[-1][1], b))
             else:
-                base, _ = old_state_at(left)
-                active = list(base)
-                for item in old_changed:
-                    if item.active_at(left):
-                        del active[bisect_left(active, item.size)]
-                for item in new_changed:
-                    if item.active_at(left):
-                        insort(active, item.size)
-                sizes = tuple(active)
-                count = (
-                    self._count(sizes, prev_count + _added_count(prev_sizes, sizes))
-                    if sizes
-                    else 0
-                )
-            slices.append(SizeSlice(left, right, sizes, 0))
-            counts.append(count)
-            prev_sizes, prev_count = sizes, count
-        self.stats.incremental_evals += 1
-        return slices, counts, events
+                ranges.append((a, b))
+        ranges.append((n_slices, n_slices))
+
+        old_spans = [(r.arrival, r.departure, r.size) for r in old_changed]
+        new_spans = [(r.arrival, r.departure, r.size) for r in new_changed]
+        stats = self.stats
+        sizes: list[tuple[float, ...]] = []
+        counts: list[int] = []
+        done = 0
+        for a, b in ranges:
+            if done < a:
+                # Untouched run [done, a).  Every event time strictly inside
+                # it belongs to an unchanged item, so the run maps onto
+                # consecutive old slices.  Its edges may be new-only times,
+                # but each mutated item's windows reach back to one of its
+                # old times, so the run never leaves the old coverage.
+                run = a - done
+                stats.slices += run
+                stats.slices_reused += run
+                j = bisect_right(old_times, times[done]) - 1
+                sizes += old_sizes[j : j + run]
+                counts += old_counts[j : j + run]
+            for k in range(a, b):
+                stats.slices += 1
+                left = times[k]
+                j = bisect_right(old_times, left) - 1
+                active = list(old_sizes[j]) if 0 <= j < len(old_sizes) else []
+                for arrival, departure, size in old_spans:
+                    if arrival <= left < departure:
+                        del active[bisect_left(active, size)]
+                for arrival, departure, size in new_spans:
+                    if arrival <= left < departure:
+                        insort(active, size)
+                cur = tuple(active)
+                count = 0
+                if cur:
+                    prev = sizes[-1] if sizes else ()
+                    prev_count = counts[-1] if counts else 0
+                    count = self._count(cur, prev_count + _added_count(prev, cur))
+                sizes.append(cur)
+                counts.append(count)
+            done = b
+        assert len(sizes) == n_slices
+        stats.incremental_evals += 1
+        return sizes, counts, events
 
 
 def opt_total_incremental(

@@ -8,14 +8,20 @@ keeps mutations that increase the measured ratio of a target algorithm
 against the exact repacking adversary.
 
 Instances are kept small so ``opt_total`` stays exact; the result therefore
-reports true ratios, directly comparable to the theorems' bounds.  Each
-candidate is evaluated through a shared
-:class:`~repro.algorithms.AdversaryOracle`: a mutation touches one item, so
-the oracle re-solves only the time slices intersecting the mutated window
-and answers recurring slices from its memo cache — the evaluation loop runs
-an order of magnitude faster than re-paying the full adversary per mutation
-(see ``benchmarks/bench_opt_total.py``), while producing bit-identical
-ratios.
+reports true ratios, directly comparable to the theorems' bounds.  One
+evaluation costs what its mutation changes:
+
+* a mutation builds one new :class:`~repro.core.Item` and swaps it in with
+  :meth:`~repro.core.ItemList.replace`, sharing every other item object;
+* the shared :class:`~repro.algorithms.AdversaryOracle` re-solves only the
+  time slices intersecting the mutated window, splices the untouched runs
+  from the previous evaluation and answers recurring slices from its memo
+  cache — an order of magnitude faster than re-paying the full adversary
+  per mutation (see ``benchmarks/bench_opt_total.py``), with bit-identical
+  ratios;
+* the packer's usage comes from
+  :meth:`~repro.core.PackingResult.total_usage`, one Python pass over the
+  items.
 """
 
 from __future__ import annotations
@@ -81,13 +87,11 @@ def _mutate(
     min_dur: float,
     max_dur: float,
 ) -> ItemList:
-    records = items.to_records()
-    idx = int(rng.integers(len(records)))
-    rec = dict(records[idx])
+    item = items[int(rng.integers(len(items)))]
     move = rng.random()
-    arrival = float(rec["arrival"])  # type: ignore[arg-type]
-    duration = float(rec["departure"]) - arrival  # type: ignore[arg-type]
-    size = float(rec["size"])  # type: ignore[arg-type]
+    arrival = item.arrival
+    duration = item.departure - arrival
+    size = item.size
     if move < 0.3:  # nudge arrival
         arrival = float(np.clip(arrival + rng.normal(0, 0.15 * span), 0, span))
     elif move < 0.6:  # nudge duration
@@ -100,11 +104,8 @@ def _mutate(
         arrival = float(rng.uniform(0, span))
         duration = float(rng.uniform(min_dur, max_dur))
         size = float(rng.uniform(0.05, 1.0))
-    rec["arrival"] = arrival
-    rec["departure"] = arrival + duration
-    rec["size"] = size
-    records[idx] = rec
-    return ItemList.from_records(records)
+    mutated = Item(item.id, size, Interval(arrival, arrival + duration), dict(item.tags))
+    return items.replace(mutated)
 
 
 def find_bad_instance(

@@ -359,17 +359,21 @@ class ItemList:
         Returns ``None`` when the two lists do not cover the same id set
         (an item was added or removed, not mutated) — the caller cannot treat
         the difference as a set of in-place mutations.  Tags are ignored,
-        matching :class:`Item` equality.
+        matching :class:`Item` equality.  Items shared by both lists (as
+        after :meth:`replace`) are matched by identity, without a field
+        comparison.
         """
         if len(self._items) != len(other._items):
             return None
         if self._by_id.keys() != other._by_id.keys():
             return None
-        return [
-            item_id
-            for item_id, item in self._by_id.items()
-            if item != other._by_id[item_id]
-        ]
+        theirs = other._by_id
+        changed = []
+        for item_id, item in self._by_id.items():
+            other_item = theirs[item_id]
+            if item is not other_item and item != other_item:
+                changed.append(item_id)
+        return changed
 
     def renumbered(self, start: int = 0) -> "ItemList":
         """Items re-identified ``start, start+1, ...`` in arrival order."""

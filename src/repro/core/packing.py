@@ -22,6 +22,44 @@ from .stepfun import DEFAULT_TOL, StepFunction
 __all__ = ["PackingResult", "PackingStats"]
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Sum ``values`` in the order of numpy's float64 ``add.reduce``.
+
+    numpy sums a contiguous float64 array pairwise: below 8 elements
+    sequentially from ``0.0``; up to 128 with 8 interleaved accumulators
+    combined as ``((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7))`` plus a sequential
+    tail; above 128 by splitting at half the length rounded down to a
+    multiple of 8.  Reproducing that order makes pure-Python sums
+    bit-identical to ``np.sum`` (the test suite checks the installed numpy
+    still follows it).
+    """
+    n = len(values)
+    if n < 8:
+        res = 0.0
+        for v in values:
+            res += v
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for v in values[end:]:
+            res += v
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
 @dataclass(frozen=True, slots=True)
 class PackingStats:
     """Summary statistics of a packing, suitable for tabulation."""
@@ -243,31 +281,37 @@ class PackingResult:
     def total_usage(self) -> float:
         """The MinUsageTime objective: ``Σ_bins span(items in bin)``.
 
-        Computed by a grouped numpy interval-union sweep over the raw
-        assignment, so large packings never pay for materialising
-        :class:`~repro.core.Bin` objects and their level profiles.  When the
-        bins are already cached (someone called :meth:`bins`), their O(1)
-        cached usage times are summed instead.
+        Computed by one Python interval-union pass over the raw assignment,
+        so large packings never pay for materialising
+        :class:`~repro.core.Bin` objects and their level profiles.  Each
+        bin's intervals are taken in item order (arrival, then id); each
+        contributes the part of itself beyond the running maximum departure
+        of the bin's earlier intervals.  A bin's parts are added in the
+        order of numpy's pairwise ``add.reduce`` (:func:`_pairwise_sum`) and
+        the bins in ascending index order, so the float is bit-identical to
+        the grouped numpy sweep this replaced — usage values feed output
+        digests and journal records, where one ulp of drift would show.
+        When the bins are already cached (someone called :meth:`bins`),
+        their O(1) cached usage times are summed instead.
         """
         if self._bins is not None:
             return sum(b.usage_time() for b in self._bins)
-        n = len(self.items)
-        if n == 0:
-            return 0.0
-        bins_col, times2 = self._event_arrays()
-        order = np.lexsort((times2[0], bins_col))
-        sorted_bins = bins_col[order]
-        lefts = times2[0][order]
-        rights = times2[1][order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_bins)) + 1, [n]])
+        assignment = self.assignment
+        spans: dict[int, list[Interval]] = {}
+        for r in self.items:
+            spans.setdefault(assignment[r.id], []).append(r.interval)
         total = 0.0
-        for s, e in zip(starts[:-1], starts[1:]):
-            ga, gd = lefts[s:e], rights[s:e]
-            # Union of sorted-by-left intervals: each interval contributes the
-            # part of itself beyond the running maximum departure so far.
-            reach = np.maximum.accumulate(gd)
-            prev = np.concatenate([[ga[0]], reach[:-1]])
-            total += float(np.maximum(gd - np.maximum(ga, prev), 0.0).sum())
+        for b in sorted(spans):
+            group = spans[b]
+            parts: list[float] = []
+            reach = float(group[0].left)
+            for iv in group:
+                left, right = float(iv.left), float(iv.right)
+                part = right - (left if left > reach else reach)
+                parts.append(part if part > 0.0 else 0.0)
+                if right > reach:
+                    reach = right
+            total += 0.0 + _pairwise_sum(parts)  # numpy's reduce starts at 0.0
         return total
 
     def per_bin_usage(self) -> dict[int, float]:

@@ -362,7 +362,10 @@ class TenantWal(SegmentLog):
         """Yield journal records with ``seq > after_seq`` in order.
 
         ``after_seq`` defaults to the checkpoint's covered sequence number,
-        and then the oldest segment must start right after it.  Mid-file
+        and then the oldest segment must start right after it.  Once
+        compaction has removed the first records, a damaged
+        ``checkpoint.ckpt`` raises rather than letting the tenant restart
+        empty.  Mid-file
         corruption, schema damage included, raises
         :class:`~repro.resilience.CorruptLogError` (counted in
         ``serving.wal.corrupt_records``).
@@ -376,6 +379,16 @@ class TenantWal(SegmentLog):
                     raise CorruptLogError(
                         path, 0, f"records {after_seq + 1}..{first - 1} are missing: "
                         "no checkpoint covers them"
+                    )
+                checkpoint = self.path / _CHECKPOINT
+                if (
+                    (not found or found[0][0] > 1)
+                    and checkpoint.exists()
+                    and self.load_checkpoint() is None
+                ):
+                    raise CorruptLogError(
+                        checkpoint, 0, "checkpoint is unreadable and compaction "
+                        "removed the records it covered"
                     )
             for record, path, offset in read_log(self.path, after_seq=after_seq):
                 yield _decode(record, path, offset)

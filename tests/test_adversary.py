@@ -15,6 +15,7 @@ from repro.algorithms import (
     opt_total_incremental,
     opt_total_scan,
 )
+from repro.bounds.search import _mutate, _random_instance
 from repro.core import Interval, Item, ItemList, SolverLimitError
 from repro.workloads import uniform_random
 
@@ -250,6 +251,107 @@ class TestAdversaryOracle:
 
     def test_empty_items(self):
         assert AdversaryOracle().opt_total(ItemList([])) == 0.0
+
+
+def assert_matches_full(oracle: AdversaryOracle, items: ItemList) -> None:
+    """Evaluate ``items`` on ``oracle``; its remembered slices must equal a
+    from-scratch sweep's boundaries, multisets and optima, and its total
+    the reference scan's."""
+    total = oracle.opt_total(items)
+    sizes, counts, events = AdversaryOracle()._full(items)
+    assert oracle._events.times == events.times == items.event_times()
+    assert oracle._sizes == sizes
+    assert oracle._counts == counts
+    assert total == opt_total_scan(items)
+
+
+def moved(items: ItemList, item_id: int, **changes: float) -> ItemList:
+    """``items`` with one item's size/arrival/departure replaced."""
+    r = items.by_id(item_id)
+    size = changes.get("size", r.size)
+    arrival = changes.get("arrival", r.arrival)
+    departure = changes.get("departure", r.departure)
+    return items.replace(Item(item_id, size, Interval(arrival, departure)))
+
+
+class TestOracleSplice:
+    """Splicing untouched slice runs reproduces the full sweep exactly."""
+
+    @pytest.fixture
+    def base(self) -> ItemList:
+        return ItemList(
+            [
+                Item(0, 0.3, Interval(0.0, 10.0)),
+                Item(1, 0.4, Interval(2.0, 6.0)),
+                Item(2, 0.2, Interval(4.0, 8.0)),
+                Item(3, 0.5, Interval(1.0, 9.0)),
+                Item(4, 0.6, Interval(3.0, 5.0)),
+            ]
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_mutation_chains_match_full_sweep(self, seed):
+        # Hill-climb pattern: each candidate mutates the kept instance; half
+        # are kept, so the baseline is sometimes two mutations away.
+        rng = np.random.default_rng(seed)
+        stats = SolverStats()
+        oracle = AdversaryOracle(stats=stats)
+        current = _random_instance(rng, 14, 10.0, 0.5, 8.0)
+        assert_matches_full(oracle, current)
+        for _ in range(500):
+            candidate = _mutate(rng, current, 10.0, 0.5, 8.0)
+            assert_matches_full(oracle, candidate)
+            if rng.random() < 0.5:
+                current = candidate
+        assert stats.incremental_evals > 400
+        assert stats.slices_reused > 0
+
+    def test_window_edge_at_new_only_event(self, base):
+        oracle = AdversaryOracle()
+        assert_matches_full(oracle, base)
+        # The untouched slice before the window now ends at 5.5, a time
+        # only the new instance has ...
+        assert_matches_full(oracle, moved(base, 1, departure=5.5))
+        # ... and the untouched slice after this window starts at 7.5.
+        assert_matches_full(oracle, moved(base, 1, departure=7.5))
+        assert_matches_full(oracle, moved(base, 2, arrival=0.5))
+
+    def test_item_moved_before_first_and_past_last_event(self, base):
+        oracle = AdversaryOracle()
+        assert_matches_full(oracle, base)
+        early = moved(base, 4, arrival=-3.0, departure=-1.0)
+        assert_matches_full(oracle, early)
+        late = moved(early, 4, arrival=12.0, departure=14.0)
+        assert_matches_full(oracle, late)
+        assert_matches_full(oracle, moved(late, 0, arrival=11.0, departure=13.0))
+        assert_matches_full(oracle, base)
+
+    def test_shared_event_times(self, base):
+        oracle = AdversaryOracle()
+        assert_matches_full(oracle, base)
+        # Onto times other items already have, then off them again.
+        shared = moved(base, 4, arrival=2.0, departure=6.0)
+        assert_matches_full(oracle, shared)
+        assert_matches_full(oracle, moved(shared, 1, arrival=4.0, departure=8.0))
+        assert_matches_full(oracle, moved(shared, 4, arrival=3.0, departure=6.0))
+
+    def test_size_only_change(self, base):
+        stats = SolverStats()
+        oracle = AdversaryOracle(stats=stats)
+        assert_matches_full(oracle, base)
+        assert_matches_full(oracle, moved(base, 3, size=0.45))
+        assert stats.incremental_evals == 1
+
+    def test_mutation_that_changes_nothing(self, base):
+        stats = SolverStats()
+        oracle = AdversaryOracle(stats=stats)
+        assert_matches_full(oracle, base)
+        same = moved(base, 2)  # a new, equal Item object
+        assert same.by_id(2) is not base.by_id(2)
+        slices = stats.slices
+        assert_matches_full(oracle, same)
+        assert stats.incremental_evals == 0
+        assert stats.slices == slices
 
 
 class TestSolverStats:

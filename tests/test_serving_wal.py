@@ -761,6 +761,48 @@ class TestEviction:
         # Reported, never truncated: every acknowledged byte is still on disk.
         assert segment.read_bytes() == bytes(data)
 
+    def test_damaged_checkpoint_after_compaction_is_a_wal_error(self, tmp_path):
+        # Eviction checkpoints "a" and compacts every segment away, so the
+        # checkpoint alone holds its five acknowledged arrivals.
+        root = tmp_path / "wal"
+
+        async def scenario():
+            rt = ServingRuntime(
+                SessionManager(),
+                wal=WriteAheadLog(root),
+                max_resident=1,
+                batch_size=64,
+                batch_deadline=30.0,
+            )
+            for k in range(5):
+                assert rt.offer("a", _item(k, 0.5 * k, 0.5 * k + 4.0)).admitted
+            assert rt.offer("b", _item(1, 0.0, 2.0)).admitted  # evicts "a"
+            tenant_dir = root / _tenant_dirname("a")
+            assert not list(tenant_dir.glob("segment-*.wal"))
+            checkpoint = tenant_dir / "checkpoint.ckpt"
+            data = bytearray(checkpoint.read_bytes())
+            data[-5] ^= 0x01
+            checkpoint.write_bytes(bytes(data))
+
+            fresh = ServingRuntime(SessionManager(), wal=WriteAheadLog(root))
+            with pytest.raises(CorruptLogError, match="checkpoint.ckpt"):
+                recover(fresh)
+            assert "a" not in fresh.manager
+            fresh.wal.close()
+
+            # Re-offering acknowledged id 0 must not be answered "ok".
+            line = json.dumps({"id": 0, "size": 0.3, "arrival": 5.0, "departure": 9.0})
+            verdict = rt.offer_line("a", line)
+            assert verdict.status == "rejected" and verdict.reason == "wal_error"
+            assert "checkpoint.ckpt" in verdict.error
+            assert "a" not in rt.manager
+            rt.wal.close()
+
+        asyncio.run(scenario())
+        # Reported, never rewritten: the damaged blob is still on disk.
+        checkpoint = root / _tenant_dirname("a") / "checkpoint.ckpt"
+        assert read_framed_blob(checkpoint) is None
+
 
 # ---------------------------------------------------------------------------
 # rate limiting
