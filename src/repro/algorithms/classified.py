@@ -49,10 +49,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.batch import ArrivalBatch, _trusted_item, gc_paused
+from ..core.batch import ArrivalBatch
 from ..core.bins import Bin
 from ..core.exceptions import ValidationError
-from ..core.items import Item, ItemList
+from ..core.items import Item, ItemList, _trusted_item, gc_paused
 from ..core.packing import PackingResult
 from ..core.stepfun import DEFAULT_TOL
 from .base import BatchPlacement, OnlinePacker
@@ -160,7 +160,7 @@ class ClassifiedFirstFit(OnlinePacker):
         The one placement loop of every first-fit packer.  Returns each row's
         bin, the open-bin count right after each placement and the number of
         bins retired while advancing through the arrivals.  Callers run it
-        under :func:`~repro.core.batch.gc_paused`: the loop allocates while
+        under :func:`~repro.core.items.gc_paused`: the loop allocates while
         the live records number in the millions.
         """
         n = len(arrivals)

@@ -19,60 +19,14 @@ which is what makes the trusted fast paths downstream sound.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .exceptions import ValidationError
-from .items import Item, ItemList
-from .intervals import Interval
+from .items import Item, ItemList, _item_columns, _trusted_item
 
-__all__ = ["ArrivalBatch", "gc_paused"]
-
-
-@contextmanager
-def gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector for a bulk build.
-
-    Building many young objects while millions of long-lived ones are live
-    (placement records, items) triggers generational collections that rescan
-    them all, yet nothing built in the block can be garbage.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _trusted_item(
-    item_id: int,
-    sizes: tuple[float, ...],
-    arrival: float,
-    departure: float,
-    tags: dict | None = None,
-) -> Item:
-    """Build an :class:`Item` from already-validated fields, skipping checks.
-
-    Every field must satisfy the :class:`Item` invariants (sizes in
-    ``(0, 1]``, ``arrival < departure``, both finite) — callers are the
-    validated columnar paths (:class:`ArrivalBatch`, the columnar trace
-    loader), which check those invariants vectorised over the whole batch
-    before constructing any object, and the first-fit core's bin replay.
-    """
-    iv = object.__new__(Interval)
-    object.__setattr__(iv, "left", arrival)
-    object.__setattr__(iv, "right", departure)
-    item = object.__new__(Item)
-    object.__setattr__(item, "id", item_id)
-    object.__setattr__(item, "sizes", sizes)
-    object.__setattr__(item, "interval", iv)
-    object.__setattr__(item, "tags", {} if tags is None else tags)
-    return item
+__all__ = ["ArrivalBatch"]
 
 
 class ArrivalBatch:
@@ -160,15 +114,7 @@ class ArrivalBatch:
         :class:`~repro.core.ItemList`, arrival order).
         """
         seq = list(items)
-        n = len(seq)
-        dims = len(seq[0].sizes) if n else 1
-        ids = np.fromiter((r.id for r in seq), dtype=np.int64, count=n)
-        arr = np.fromiter((r.arrival for r in seq), dtype=np.float64, count=n)
-        dep = np.fromiter((r.departure for r in seq), dtype=np.float64, count=n)
-        sz = np.empty((n, dims), dtype=np.float64)
-        for i, r in enumerate(seq):
-            sz[i] = r.sizes
-        return cls(ids, arr, dep, sz)
+        return cls(*_item_columns(seq, len(seq[0].sizes) if seq else 1))
 
     # -- container protocol ---------------------------------------------------
 
@@ -188,17 +134,3 @@ class ArrivalBatch:
             float(self.arrivals[i]),
             float(self.departures[i]),
         )
-
-    def to_items(self) -> list[Item]:
-        """Materialise every row (used when a result object is finally built)."""
-        ids = self.ids.tolist()
-        arr = self.arrivals.tolist()
-        dep = self.departures.tolist()
-        rows = self.sizes.tolist()
-        return [
-            _trusted_item(ids[i], tuple(rows[i]), arr[i], dep[i])
-            for i in range(len(ids))
-        ]
-
-    def __iter__(self) -> Iterator[Item]:
-        return iter(self.to_items())

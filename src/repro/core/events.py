@@ -96,40 +96,29 @@ class SizeSlice:
         return self.right - self.left
 
 
-def _uniq_sorted(values: np.ndarray) -> np.ndarray:
-    """Unique values of an already-sorted float array (adjacent compare)."""
-    if len(values) == 0:
-        return values
-    mask = np.empty(len(values), dtype=bool)
-    mask[0] = True
-    np.not_equal(values[1:], values[:-1], out=mask[1:])
-    return values[mask]
-
-
 class EventArrays:
     """Presorted columnar event timeline of an :class:`ItemList`.
 
-    The sweep-line substrate built once per instance: every arrival and
-    departure time in one sorted float64 array (``times_all``, with
-    multiplicity), the unique slice boundaries (``times``, python floats —
-    exactly ``ItemList.event_times()``), and — for scalar items — the item
-    sizes argsorted by arrival and by departure with per-boundary offset
-    arrays, so each slice's multiset delta is an O(1) array slice instead of
-    a dict lookup over per-item Python objects.
+    The sweep-line substrate built once per instance: the unique slice
+    boundaries (``times``, python floats — exactly
+    ``ItemList.event_times()``) with each boundary's event multiplicity,
+    and — for scalar items — the item sizes argsorted by arrival and by
+    departure with per-boundary offset arrays, so each slice's multiset
+    delta is an O(1) array slice instead of a dict lookup over per-item
+    Python objects.
 
-    The adversary's incremental oracle reuses the presorted ``times_all``
-    across mutations via :meth:`retimed` instead of re-sorting the whole
-    timeline per candidate (the ``opt_total_incremental`` hot loop).
+    The adversary's incremental oracle reuses the timeline across mutations
+    via :meth:`retimed` instead of re-sorting it per candidate (the
+    ``opt_total_incremental`` hot loop).
 
     Attributes:
-        times_all: ``(2n,)`` sorted float64 event times, with multiplicity.
         times: Unique boundaries as a list of python floats, identical to
             ``ItemList.event_times()``.
     """
 
     __slots__ = (
-        "times_all",
         "times",
+        "_counts",
         "_a_sizes",
         "_a_lo",
         "_a_hi",
@@ -140,10 +129,26 @@ class EventArrays:
 
     def __init__(self) -> None:
         """Empty timeline; use :meth:`from_items` / :meth:`retimed`."""
-        self.times_all = np.empty(0, dtype=np.float64)
         self.times: list[float] = []
+        # Events per boundary; None when the offset arrays below hold them.
+        self._counts: dict[float, int] | None = {}
         self._a_sizes = self._a_lo = self._a_hi = None
         self._d_sizes = self._d_lo = self._d_hi = None
+
+    def _event_counts(self) -> dict[float, int]:
+        """A fresh boundary → number-of-events dict."""
+        if self._counts is not None:
+            return dict(self._counts)
+        per = self._a_hi - self._a_lo + self._d_hi - self._d_lo
+        return dict(zip(self.times, per.tolist()))
+
+    @property
+    def times_all(self) -> np.ndarray:
+        """``(2n,)`` sorted float64 event times, with multiplicity."""
+        counts = self._event_counts()
+        return np.repeat(
+            np.asarray(self.times, dtype=np.float64), [counts[t] for t in self.times]
+        )
 
     @classmethod
     def from_items(cls, items: ItemList) -> "EventArrays":
@@ -153,16 +158,21 @@ class EventArrays:
             ValidationError: for ``d > 1`` items, where the scalar active-size
                 sweep is undefined (same error as the object sweep).
         """
-        n = len(items)
         ev = cls()
-        if n == 0:
+        if not items:
             return ev
-        arr = np.fromiter((r.arrival for r in items), dtype=np.float64, count=n)
-        dep = np.fromiter((r.departure for r in items), dtype=np.float64, count=n)
-        ev.times_all = np.sort(np.concatenate((arr, dep)))
-        boundaries = _uniq_sorted(ev.times_all)
+        if items.dims != 1:
+            items[0].size  # raises the scalar-size ValidationError
+        _, arr, dep, sizes_matrix = items.columns()
+        # Adjacent-unique of the sorted times: np.unique would import numpy.ma.
+        times_all = np.sort(np.concatenate((arr, dep)))
+        distinct = np.empty(len(times_all), dtype=bool)
+        distinct[0] = True
+        np.not_equal(times_all[1:], times_all[:-1], out=distinct[1:])
+        boundaries = times_all[distinct]
         ev.times = boundaries.tolist()
-        sizes = np.fromiter((r.size for r in items), dtype=np.float64, count=n)
+        ev._counts = None
+        sizes = sizes_matrix[:, 0]
         order = np.argsort(arr, kind="stable")
         arr_sorted = arr[order]
         ev._a_sizes = sizes[order]
@@ -180,42 +190,41 @@ class EventArrays:
     ) -> "EventArrays":
         """A boundaries-only timeline with some items' times swapped out.
 
-        Deletes one ``times_all`` occurrence per event of each removed item
-        and merge-inserts the added items' events — O(k log n) searchsorted
-        work on the presorted array instead of an O(n log n) re-sort.  The
-        result carries ``times_all``/``times`` only (no size arrays): it is
-        the boundary timeline the incremental adversary walks with its own
-        active set.
+        Drops one occurrence of each removed item's events and adds the
+        added items' events — a multiplicity update per event, and a
+        bisect splice of ``times`` when a boundary appears or vanishes,
+        instead of re-sorting the whole timeline.  The result carries the
+        boundaries only (no size arrays): it is the timeline the
+        incremental adversary walks with its own active set.
 
         Raises:
             ValidationError: when a removed event time is not present in the
                 timeline (the base timeline does not match ``removed``).
         """
-        rem_list: list[float] = []
+        times = list(self.times)
+        counts = self._event_counts()
         for r in removed:
-            rem_list.append(r.arrival)
-            rem_list.append(r.departure)
-        add_list: list[float] = []
+            for t in (r.arrival, r.departure):
+                left = counts.get(t, 0)
+                if left == 0:
+                    raise ValidationError(
+                        "retimed: a removed item's event time is not in the timeline"
+                    )
+                if left == 1:
+                    del counts[t]
+                    del times[bisect_left(times, t)]
+                else:
+                    counts[t] = left - 1
         for r in added:
-            add_list.append(r.arrival)
-            add_list.append(r.departure)
-        base = self.times_all
-        if rem_list:
-            rem = np.sort(np.asarray(rem_list, dtype=np.float64))
-            pos = np.searchsorted(base, rem, side="left")
-            # Spread duplicate removed values across the matching run.
-            pos = pos + (np.arange(len(rem)) - np.searchsorted(rem, rem, side="left"))
-            if (pos >= len(base)).any() or not np.array_equal(base[pos], rem):
-                raise ValidationError(
-                    "retimed: a removed item's event time is not in the timeline"
-                )
-            base = np.delete(base, pos)
-        if add_list:
-            add = np.sort(np.asarray(add_list, dtype=np.float64))
-            base = np.insert(base, np.searchsorted(base, add, side="left"), add)
+            for t in (r.arrival, r.departure):
+                t = float(t)
+                left = counts.get(t, 0)
+                if left == 0:
+                    insort(times, t)
+                counts[t] = left + 1
         ev = EventArrays()
-        ev.times_all = base
-        ev.times = _uniq_sorted(base).tolist()
+        ev.times = times
+        ev._counts = counts
         return ev
 
     def slices(self) -> Iterator[SizeSlice]:

@@ -19,8 +19,12 @@ analysis uses everywhere:
 
 from __future__ import annotations
 
+import gc
 import json
+from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Real
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -30,7 +34,28 @@ from .exceptions import ValidationError
 from .intervals import Interval, merge_intervals, span as _span
 from .stepfun import StepFunction
 
-__all__ = ["Item", "ItemList"]
+__all__ = ["Item", "ItemList", "gc_paused"]
+
+#: The four arrays of :meth:`ItemList.columns`: ids, arrivals, departures and
+#: the ``(n, d)`` size matrix.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a bulk build.
+
+    Building many young objects while millions of long-lived ones are live
+    (placement records, items) triggers generational collections that rescan
+    them all, yet nothing built in the block can be garbage.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,18 +169,80 @@ class Item:
         return Item(self.id, self.sizes, Interval(self.arrival, departure), dict(self.tags))
 
 
+def _trusted_item(
+    item_id: int,
+    sizes: tuple[float, ...],
+    arrival: float,
+    departure: float,
+    tags: dict | None = None,
+) -> Item:
+    """Build an :class:`Item` from already-validated fields, skipping checks.
+
+    Every field must satisfy the :class:`Item` invariants (sizes in
+    ``(0, 1]``, ``arrival < departure``, both finite) — callers are the
+    validated columnar paths (:class:`~repro.core.ArrivalBatch`, the
+    column-backed :class:`ItemList`), which check those invariants
+    vectorised before constructing any object, and the first-fit core's bin
+    replay.
+    """
+    iv = object.__new__(Interval)
+    object.__setattr__(iv, "left", arrival)
+    object.__setattr__(iv, "right", departure)
+    item = object.__new__(Item)
+    object.__setattr__(item, "id", item_id)
+    object.__setattr__(item, "sizes", sizes)
+    object.__setattr__(item, "interval", iv)
+    object.__setattr__(item, "tags", {} if tags is None else tags)
+    return item
+
+
+def _item_columns(items: Sequence[Item], dims: int) -> Columns:
+    """The :meth:`ItemList.columns` arrays of a sequence of ``dims``-d items.
+
+    Raises:
+        ValueError: if an item does not have ``dims`` sizes.
+    """
+    n = len(items)
+    id_list = [r.id for r in items]
+    try:
+        ids = np.fromiter(id_list, dtype=np.int64, count=n)
+    except OverflowError:
+        # An Item id may be any int; beyond int64 the ids stay Python ints.
+        ids = np.array(id_list, dtype=object)
+    intervals = [r.interval for r in items]
+    arrivals = np.fromiter([iv.left for iv in intervals], dtype=np.float64, count=n)
+    departures = np.fromiter([iv.right for iv in intervals], dtype=np.float64, count=n)
+    rows = [r.sizes for r in items]
+    if n and set(map(len, rows)) != {dims}:
+        raise ValueError(f"items of mixed dimensionality; expected {dims} sizes each")
+    sizes = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=n * dims)
+    return ids, arrivals, departures, sizes.reshape(n, dims)
+
+
+def _arrival_key(item: Item) -> tuple[float, int]:
+    """The :class:`ItemList` order: arrival, ties broken by id."""
+    return (item.interval.left, item.id)
+
+
 class ItemList:
     """An immutable, validated list of items with cached aggregate statistics.
 
     Items are stored in arrival order (ties broken by id) — the order in which
     an online algorithm sees them.  The constructor checks id uniqueness and
     that every item has the same dimensionality.
+
+    A list has two interchangeable forms.  One built from items keeps them
+    and derives :meth:`columns` on first use.  One built from columns (the
+    columnar trace loader, :meth:`~repro.engine.PackingSession.result`)
+    holds only the arrays and builds its :class:`Item` objects once, on the
+    first per-item access; ``len``, :attr:`dims` and :meth:`columns` never
+    build them.
     """
 
-    __slots__ = ("_items", "_by_id", "_dims", "_size_profile_cache")
+    __slots__ = ("_items", "_by_id", "_dims", "_columns", "_prebuilt", "_size_profile_cache")
 
     def __init__(self, items: Iterable[Item]):
-        ordered = sorted(items, key=lambda r: (r.arrival, r.id))
+        ordered = sorted(items, key=_arrival_key)
         by_id: dict[int, Item] = {}
         dims: int | None = None
         for item in ordered:
@@ -170,32 +257,115 @@ class ItemList:
                     f"item {item.id} has {d} dimension(s); "
                     f"list is {dims}-dimensional (all items must agree)"
                 )
-        self._items: tuple[Item, ...] = tuple(ordered)
-        self._by_id = by_id
+        self._items: tuple[Item, ...] | None = tuple(ordered)
+        self._by_id: dict[int, Item] | None = by_id
         self._dims = 1 if dims is None else dims
+        self._columns: Columns | None = None
+        self._prebuilt: dict[int, Item] | None = None
         self._size_profile_cache: dict[int, StepFunction] = {}
+
+    @classmethod
+    def _from_columns(
+        cls,
+        ids: np.ndarray,
+        arrivals: np.ndarray,
+        departures: np.ndarray,
+        sizes: np.ndarray,
+        prebuilt: Iterable[Item] = (),
+    ) -> "ItemList":
+        """A column-backed list over already-validated arrays (no checks).
+
+        The rows must satisfy every :class:`Item` invariant, the ids must be
+        unique and the rows ordered by (arrival, id); the list takes
+        ownership of the arrays and makes them read-only.  ``prebuilt``
+        items are used as they are for their ids' rows when the items are
+        built (they keep their tags); every other row gets a fresh item with
+        empty tags.
+        """
+        out = object.__new__(cls)
+        out._items = None
+        out._by_id = None
+        out._dims = sizes.shape[1]
+        columns = (ids, arrivals, departures, sizes)
+        for column in columns:
+            column.flags.writeable = False
+        out._columns = columns
+        out._prebuilt = {r.id: r for r in prebuilt}
+        out._size_profile_cache = {}
+        return out
+
+    def _build_items(self) -> tuple[Item, ...]:
+        """Build the items of a column-backed list, once."""
+        ids_l = self._columns[0].tolist()  # type: ignore[index]
+        prebuilt = self._prebuilt
+        self._prebuilt = None
+        if prebuilt and len(prebuilt) == len(ids_l):
+            built = [prebuilt[item_id] for item_id in ids_l]
+        else:
+            built = self._build_rows(ids_l)
+            if prebuilt:
+                built = [prebuilt.get(i, r) for i, r in zip(ids_l, built)]
+        items = tuple(built)
+        self._by_id = dict(zip(ids_l, items))
+        self._items = items
+        return items
+
+    def _build_rows(self, ids_l: list[int]) -> list[Item]:
+        """One fresh, tag-less item per row of the columns."""
+        _, arrivals, departures, sizes = self._columns  # type: ignore[misc]
+        if self._dims == 1:
+            size_rows = [(s,) for s in sizes[:, 0].tolist()]
+        else:
+            size_rows = list(map(tuple, sizes.tolist()))
+        built: list[Item] = []
+        append = built.append
+        new = object.__new__
+        fill = object.__setattr__
+        # The fields of _trusted_item, inlined: this loop builds every item
+        # of a trace.
+        with gc_paused():
+            for item_id, row, arrival, departure in zip(
+                ids_l, size_rows, arrivals.tolist(), departures.tolist()
+            ):
+                interval = new(Interval)
+                fill(interval, "left", arrival)
+                fill(interval, "right", departure)
+                item = new(Item)
+                fill(item, "id", item_id)
+                fill(item, "sizes", row)
+                fill(item, "interval", interval)
+                fill(item, "tags", {})
+                append(item)
+        return built
 
     # -- container protocol ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._items)
+        items = self._items
+        return len(self._columns[0]) if items is None else len(items)  # type: ignore[index]
 
     def __iter__(self) -> Iterator[Item]:
-        return iter(self._items)
+        return iter(self.items)
 
     def __getitem__(self, index: int) -> Item:
-        return self._items[index]
+        return self.items[index]
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return len(self) > 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ItemList):
             return NotImplemented
-        return self._items == other._items
+        return self.items == other.items
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(self.items)
+
+    def _index(self) -> dict[int, Item]:
+        """Id → item (builds the items of a column-backed list)."""
+        if self._by_id is None:
+            self._build_items()
+        return self._by_id  # type: ignore[return-value]
 
     def by_id(self, item_id: int) -> Item:
         """Look up an item by id.
@@ -203,17 +373,35 @@ class ItemList:
         Raises:
             KeyError: if no item has the given id.
         """
-        return self._by_id[item_id]
+        return self._index()[item_id]
 
     @property
     def items(self) -> tuple[Item, ...]:
         """All items in arrival order."""
-        return self._items
+        items = self._items
+        return self._build_items() if items is None else items
 
     @property
     def dims(self) -> int:
         """Common dimensionality of the items (1 for an empty list)."""
         return self._dims
+
+    def columns(self) -> Columns:
+        """The list as four read-only arrays, one row per item in list order.
+
+        ``(ids, arrivals, departures, sizes)``: ``(n,)`` int64 ids (object
+        dtype if an id does not fit in int64), ``(n,)`` float64 arrival and
+        departure times and the ``(n, d)`` float64 size matrix.  A column-backed list returns the arrays it was built from;
+        a list built from items derives them once and caches them.  Never
+        builds :class:`Item` objects.
+        """
+        columns = self._columns
+        if columns is None:
+            columns = _item_columns(self._items, self._dims)  # type: ignore[arg-type]
+            for column in columns:
+                column.flags.writeable = False
+            self._columns = columns
+        return columns
 
     # -- aggregate statistics (paper §3.1) -------------------------------------
 
@@ -225,13 +413,13 @@ class ItemList:
         largest one is the tightest.
         """
         if self._dims == 1:
-            return float(sum(r.demand for r in self._items))
+            return float(sum(r.demand for r in self.items))
         return max(self.demand_by_dim())
 
     def demand_by_dim(self) -> tuple[float, ...]:
         """Per-dimension total time-space demand ``Σ_r s_d(r)·l(I(r))``."""
         totals = [0.0] * self._dims
-        for r in self._items:
+        for r in self.items:
             dur = r.duration
             for d, s in enumerate(r.sizes):
                 totals[d] += s * dur
@@ -239,11 +427,11 @@ class ItemList:
 
     def span(self) -> float:
         """``span(R)`` — Proposition 2's lower bound."""
-        return _span(r.interval for r in self._items)
+        return _span(r.interval for r in self.items)
 
     def span_intervals(self) -> list[Interval]:
         """The maximal disjoint intervals making up the span."""
-        return merge_intervals(r.interval for r in self._items)
+        return merge_intervals(r.interval for r in self.items)
 
     def min_duration(self) -> float:
         """Minimum item duration ``Δ``.
@@ -251,15 +439,15 @@ class ItemList:
         Raises:
             ValidationError: on an empty list.
         """
-        if not self._items:
+        if not self:
             raise ValidationError("min_duration() of empty item list")
-        return min(r.duration for r in self._items)
+        return min(r.duration for r in self.items)
 
     def max_duration(self) -> float:
         """Maximum item duration ``μΔ``."""
-        if not self._items:
+        if not self:
             raise ValidationError("max_duration() of empty item list")
-        return max(r.duration for r in self._items)
+        return max(r.duration for r in self.items)
 
     def mu(self) -> float:
         """Max/min duration ratio ``μ ≥ 1``."""
@@ -281,7 +469,7 @@ class ItemList:
         cached = self._size_profile_cache.get(dim)
         if cached is None:
             cached = StepFunction()
-            for r in self._items:
+            for r in self.items:
                 cached.add(r.interval, r.sizes[dim])
             self._size_profile_cache[dim] = cached
         return cached
@@ -292,29 +480,27 @@ class ItemList:
 
     def sizes_matrix(self) -> np.ndarray:
         """All demand vectors as a contiguous ``(len, dims)`` float array."""
-        if not self._items:
-            return np.zeros((0, self._dims), dtype=np.float64)
-        return np.array([r.sizes for r in self._items], dtype=np.float64)
+        return np.array(self.columns()[3])
 
     def active_at(self, t: float) -> list[Item]:
         """All items active at time ``t``."""
-        return [r for r in self._items if r.active_at(t)]
+        return [r for r in self.items if r.active_at(t)]
 
     def event_times(self) -> list[float]:
         """Sorted distinct arrival/departure times."""
-        times = {r.arrival for r in self._items} | {r.departure for r in self._items}
+        times = {r.arrival for r in self.items} | {r.departure for r in self.items}
         return sorted(times)
 
     # -- restructuring ----------------------------------------------------------
 
     def filter(self, predicate: Callable[[Item], bool]) -> "ItemList":
         """A new list with the items satisfying ``predicate``."""
-        return ItemList(r for r in self._items if predicate(r))
+        return ItemList(r for r in self.items if predicate(r))
 
     def partition(self, key: Callable[[Item], int]) -> dict[int, "ItemList"]:
         """Group items by an integer key (used by the classification packers)."""
         buckets: dict[int, list[Item]] = {}
-        for r in self._items:
+        for r in self.items:
             buckets.setdefault(key(r), []).append(r)
         return {k: ItemList(v) for k, v in sorted(buckets.items())}
 
@@ -328,7 +514,7 @@ class ItemList:
         components = self.span_intervals()
         out: list[list[Item]] = [[] for _ in components]
         lefts = [c.left for c in components]
-        for r in self._items:
+        for r in self.items:
             # Each item interval is fully inside exactly one component.
             idx = int(np.searchsorted(lefts, r.arrival, side="right")) - 1
             out[idx].append(r)
@@ -336,22 +522,41 @@ class ItemList:
 
     def shift(self, delta: float) -> "ItemList":
         """All items translated by ``delta``."""
-        return ItemList(r.shift(delta) for r in self._items)
+        return ItemList(r.shift(delta) for r in self.items)
 
     def replace(self, item: Item) -> "ItemList":
         """A new list with the same-id item swapped for ``item``.
 
         The single-item mutation primitive of the worst-case search and the
-        incremental adversary oracle.
+        incremental adversary oracle: the old item is removed and the new
+        one bisect-inserted at its (arrival, id) position, every other item
+        object is shared, and only the new item's dimensions are checked.
 
         Raises:
             KeyError: if no item with ``item.id`` exists.
+            ValidationError: if ``item``'s dimensionality differs from the
+                other items'.
         """
-        if item.id not in self._by_id:
-            raise KeyError(item.id)
-        return ItemList(
-            item if r.id == item.id else r for r in self._items
-        )
+        old = self._index()[item.id]
+        dims = len(item.sizes)
+        if dims != self._dims and len(self) > 1:
+            raise ValidationError(
+                f"item {item.id} has {dims} dimension(s); "
+                f"list is {self._dims}-dimensional (all items must agree)"
+            )
+        items = list(self.items)
+        del items[bisect_left(items, _arrival_key(old), key=_arrival_key)]
+        items.insert(bisect_left(items, _arrival_key(item), key=_arrival_key), item)
+        by_id = dict(self._index())
+        by_id[item.id] = item
+        out = object.__new__(ItemList)
+        out._items = tuple(items)
+        out._by_id = by_id
+        out._dims = dims
+        out._columns = None
+        out._prebuilt = None
+        out._size_profile_cache = {}
+        return out
 
     def changed_ids(self, other: "ItemList") -> list[int] | None:
         """Ids whose item differs between ``self`` and ``other``.
@@ -363,13 +568,13 @@ class ItemList:
         after :meth:`replace`) are matched by identity, without a field
         comparison.
         """
-        if len(self._items) != len(other._items):
+        if len(self) != len(other):
             return None
-        if self._by_id.keys() != other._by_id.keys():
+        mine, theirs = self._index(), other._index()
+        if mine.keys() != theirs.keys():
             return None
-        theirs = other._by_id
         changed = []
-        for item_id, item in self._by_id.items():
+        for item_id, item in mine.items():
             other_item = theirs[item_id]
             if item is not other_item and item != other_item:
                 changed.append(item_id)
@@ -379,7 +584,7 @@ class ItemList:
         """Items re-identified ``start, start+1, ...`` in arrival order."""
         return ItemList(
             Item(start + i, r.sizes, r.interval, dict(r.tags))
-            for i, r in enumerate(self._items)
+            for i, r in enumerate(self.items)
         )
 
     @classmethod
@@ -407,7 +612,7 @@ class ItemList:
                     "departure": r.departure,
                     "tags": dict(r.tags),
                 }
-                for r in self._items
+                for r in self.items
             ]
         return [
             {
@@ -417,7 +622,7 @@ class ItemList:
                 "departure": r.departure,
                 "tags": dict(r.tags),
             }
-            for r in self._items
+            for r in self.items
         ]
 
     @classmethod
@@ -451,4 +656,4 @@ class ItemList:
         return cls.from_records(json.loads(text))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ItemList(n={len(self._items)})"
+        return f"ItemList(n={len(self)})"

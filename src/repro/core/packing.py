@@ -115,7 +115,7 @@ class PackingResult:
         capacity: float = 1.0,
         tol: float = DEFAULT_TOL,
     ) -> None:
-        ids = {r.id for r in items}
+        ids = set(items.columns()[0].tolist())
         if set(assignment) != ids:
             missing = ids - set(assignment)
             extra = set(assignment) - ids
@@ -180,20 +180,11 @@ class PackingResult:
 
     # -- feasibility -------------------------------------------------------------
 
-    def _event_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-item ``(bin, arrival, departure)`` columns as arrays."""
-        n = len(self.items)
-        bins_col = np.fromiter(
-            (self.assignment[r.id] for r in self.items), dtype=np.int64, count=n
+    def _bin_column(self, ids: np.ndarray) -> np.ndarray:
+        """The bin index of each of ``ids``, as an int64 array."""
+        return np.fromiter(
+            map(self.assignment.__getitem__, ids.tolist()), dtype=np.int64, count=len(ids)
         )
-        arrivals = np.fromiter((r.arrival for r in self.items), dtype=float, count=n)
-        departures = np.fromiter((r.departure for r in self.items), dtype=float, count=n)
-        return bins_col, np.stack([arrivals, departures])
-
-    def _sizes_column(self, dim: int) -> np.ndarray:
-        """Per-item size in dimension ``dim`` as a float array."""
-        n = len(self.items)
-        return np.fromiter((r.sizes[dim] for r in self.items), dtype=float, count=n)
 
     def validate(self) -> None:
         """Check full feasibility of the packing.
@@ -220,12 +211,13 @@ class PackingResult:
         n = len(self.items)
         if n == 0:
             return
-        bins_col, times2 = self._event_arrays()
+        ids, arrivals, departures, sizes_matrix = self.items.columns()
+        bins_col = self._bin_column(ids)
         ev_bins = np.concatenate([bins_col, bins_col])
-        ev_times = np.concatenate([times2[0], times2[1]])
+        ev_times = np.concatenate([arrivals, departures])
         dims = self.items.dims
         for dim in range(dims):
-            sizes = self._sizes_column(dim)
+            sizes = sizes_matrix[:, dim]
             ev_deltas = np.concatenate([sizes, -sizes])
             # Departures sort before arrivals at equal times (negative deltas
             # first), matching half-open interval semantics.
@@ -281,9 +273,10 @@ class PackingResult:
     def total_usage(self) -> float:
         """The MinUsageTime objective: ``Σ_bins span(items in bin)``.
 
-        Computed by one Python interval-union pass over the raw assignment,
-        so large packings never pay for materialising
-        :class:`~repro.core.Bin` objects and their level profiles.  Each
+        Computed by one Python interval-union pass over the item list's
+        :meth:`~repro.core.ItemList.columns` and the raw assignment, so large
+        packings never pay for materialising :class:`~repro.core.Bin` or
+        :class:`~repro.core.Item` objects.  Each
         bin's intervals are taken in item order (arrival, then id); each
         contributes the part of itself beyond the running maximum departure
         of the bin's earlier intervals.  A bin's parts are added in the
@@ -296,23 +289,25 @@ class PackingResult:
         """
         if self._bins is not None:
             return sum(b.usage_time() for b in self._bins)
-        assignment = self.assignment
-        spans: dict[int, list[Interval]] = {}
-        for r in self.items:
-            spans.setdefault(assignment[r.id], []).append(r.interval)
+        ids, arrivals, departures, _ = self.items.columns()
+        bins = self._bin_column(ids)
+        # A stable sort by bin keeps each bin's items in list order.
+        order = np.argsort(bins, kind="stable")
         total = 0.0
-        for b in sorted(spans):
-            group = spans[b]
-            parts: list[float] = []
-            reach = float(group[0].left)
-            for iv in group:
-                left, right = float(iv.left), float(iv.right)
-                part = right - (left if left > reach else reach)
-                parts.append(part if part > 0.0 else 0.0)
-                if right > reach:
-                    reach = right
-            total += 0.0 + _pairwise_sum(parts)  # numpy's reduce starts at 0.0
-        return total
+        parts: list[float] = []
+        current = None
+        for b, left, right in zip(
+            bins[order].tolist(), arrivals[order].tolist(), departures[order].tolist()
+        ):
+            if b != current:
+                total += 0.0 + _pairwise_sum(parts)  # numpy's reduce starts at 0.0
+                parts = []
+                current, reach = b, left
+            part = right - (left if left > reach else reach)
+            parts.append(part if part > 0.0 else 0.0)
+            if right > reach:
+                reach = right
+        return total + (0.0 + _pairwise_sum(parts))
 
     def per_bin_usage(self) -> dict[int, float]:
         """Usage time of each bin, keyed by bin index."""

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from ..algorithms.base import OnlinePacker, get_packer
-from ..core.batch import ArrivalBatch, gc_paused
+from ..core.batch import ArrivalBatch
 from ..core.bins import Bin
 from ..core.exceptions import ValidationError
 from ..core.intervals import Interval
@@ -150,6 +150,8 @@ class PackingSession:
         self._algorithm = algorithm
         # Pending departure times (a min-heap of plain floats).
         self._dep_times: list[float] = []
+        # Scalar submissions as items (they keep their tags), batch
+        # submissions as the batches themselves; result() merges the two.
         self._items: list[Item] = []
         self._pending_items: list[ArrivalBatch] = []
         self._ids: set[int] = set()
@@ -457,17 +459,6 @@ class PackingSession:
 
     # -- finishing -----------------------------------------------------------
 
-    def _materialize_items(self) -> None:
-        """Fold batch-submitted arrivals into the item list (lazy, ordered-safe).
-
-        ``ItemList`` sorts by (arrival, id), so interleaved scalar and batch
-        submissions materialise to the same list regardless of flush timing.
-        """
-        if self._pending_items:
-            for batch in self._pending_items:
-                self._items.extend(batch.to_items())
-            self._pending_items = []
-
     def result(self) -> PackingResult:
         """The packing of everything submitted so far.
 
@@ -475,12 +466,31 @@ class PackingSession:
         call builds a fresh :class:`~repro.core.PackingResult` from the
         submitted items (actual intervals, post-amendment) and the packer's
         :meth:`~repro.algorithms.OnlinePacker.assignment`, without building
-        :class:`~repro.core.Bin` objects.
+        :class:`~repro.core.Bin` objects.  The result's item list is
+        column-backed: it concatenates the batch columns with those of the
+        scalar-submitted items and sorts them once, so ``validate()`` and
+        ``total_usage()`` build no :class:`~repro.core.Item` objects.  Rows
+        submitted through :meth:`submit_many` carry no tags; items submitted
+        through :meth:`submit` are kept as they are, tags included.
         """
-        with gc_paused():
-            self._materialize_items()
-            items = ItemList(self._items)
-            assignment = self._packer.assignment()
+        batches = self._pending_items
+        if self._items:
+            batches = [*batches, ArrivalBatch.from_items(self._items)]
+        if batches:
+            ids = np.concatenate([b.ids for b in batches])
+            arrivals = np.concatenate([b.arrivals for b in batches])
+            order = np.lexsort((ids, arrivals))
+            items = ItemList._from_columns(
+                ids[order],
+                arrivals[order],
+                np.concatenate([b.departures for b in batches])[order],
+                np.concatenate([b.sizes for b in batches])[order],
+                self._items,
+            )
+        else:
+            items = ItemList(())
         return PackingResult(
-            items, assignment, algorithm=self._algorithm or self._packer.describe()
+            items,
+            self._packer.assignment(),
+            algorithm=self._algorithm or self._packer.describe(),
         )

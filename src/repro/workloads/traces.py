@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ..core.batch import gc_paused
 from ..core.exceptions import ValidationError
 from ..core.intervals import Interval
 from ..core.items import Item, ItemList
@@ -472,7 +471,7 @@ def _csv_pattern(dims: int) -> "re.Pattern[bytes]":
 
 
 def _columns_to_items(table: np.ndarray, dims: int) -> ItemList | None:
-    """Vectorised validation + trusted :class:`ItemList` construction.
+    """Vectorised validation + column-backed :class:`ItemList` construction.
 
     Returns ``None`` on *any* rule violation (non-finite values, ids too
     large for exact float representation, sizes outside ``(0, 1]``,
@@ -499,40 +498,11 @@ def _columns_to_items(table: np.ndarray, dims: int) -> ItemList | None:
     ids_int = ids.astype(np.int64)
     if len(np.unique(ids_int)) != len(ids_int):
         return None
+    # The lexsort reproduces ItemList's (arrival, id) ordering contract.
     order = np.lexsort((ids_int, arrivals))
-    ids_l = ids_int[order].tolist()
-    arr_l = arrivals[order].tolist()
-    dep_l = departures[order].tolist()
-    if dims == 1:
-        size_rows = [(s,) for s in sizes[order, 0].tolist()]
-    else:
-        size_rows = list(map(tuple, sizes[order].tolist()))
-    n = len(ids_l)
-    result: list[Item] = [None] * n  # type: ignore[list-item]
-    new = object.__new__
-    fill = object.__setattr__
-    # Same fields as core.batch._trusted_item.
-    with gc_paused():
-        k = 0
-        for item_id, row, arrival, departure in zip(ids_l, size_rows, arr_l, dep_l):
-            interval = new(Interval)
-            fill(interval, "left", arrival)
-            fill(interval, "right", departure)
-            item = new(Item)
-            fill(item, "id", item_id)
-            fill(item, "sizes", row)
-            fill(item, "interval", interval)
-            fill(item, "tags", {})
-            result[k] = item
-            k += 1
-    # Fill ItemList's slots directly: the rows are fully validated and the
-    # lexsort above reproduces its (arrival, id) ordering contract.
-    out = object.__new__(ItemList)
-    out._items = tuple(result)
-    out._by_id = dict(zip(ids_l, result))
-    out._dims = dims
-    out._size_profile_cache = {}
-    return out
+    return ItemList._from_columns(
+        ids_int[order], arrivals[order], departures[order], sizes[order]
+    )
 
 
 def _columnar_parse_jsonl(buf) -> ItemList | None:

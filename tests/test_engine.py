@@ -13,7 +13,10 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import available_packers, get_packer
 from repro.algorithms.base import OnlinePacker
@@ -23,6 +26,7 @@ from repro.core import (
     Interval,
     Item,
     ItemList,
+    PackingResult,
     ValidationError,
     event_stream,
 )
@@ -410,3 +414,116 @@ class TestFaultPolicyBinding:
         # The user wired the registry themselves: sharing is deliberate.
         PackingSession("first-fit", fault_policy=policy)
         assert policy.registry is registry
+
+
+@st.composite
+def _session_script(draw):
+    """Arrival-ordered rows cut into scalar-submit runs and batches."""
+    dims = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=30))
+    ids = draw(st.permutations(range(n)))
+    # Few distinct arrivals: equal arrivals with descending ids are common,
+    # so result()'s (arrival, id) sort must reorder the submitted rows.
+    arrivals = sorted(float(draw(st.integers(min_value=0, max_value=6))) for _ in ids)
+    items = [
+        Item(
+            item_id,
+            tuple(draw(st.floats(min_value=0.05, max_value=0.9)) for _ in range(dims)),
+            Interval(arrival, arrival + draw(st.floats(min_value=0.5, max_value=5.0))),
+        )
+        for item_id, arrival in zip(ids, arrivals)
+    ]
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else [])
+    bounds = [0, *cuts, n]
+    runs = [
+        (draw(st.booleans()), items[a:b]) for a, b in zip(bounds, bounds[1:])
+    ]
+    return dims, runs
+
+
+class TestColumnarResult:
+    """result() on a column-backed list equals the item-built reference."""
+
+    @staticmethod
+    def _drive(packer: str, runs) -> tuple[PackingSession, list[Item]]:
+        session = PackingSession(packer)
+        submitted = []
+        for scalar, rows in runs:
+            if scalar:
+                for r in rows:
+                    tagged = Item(r.id, r.sizes, r.interval, {"via": "submit"})
+                    session.submit(tagged)
+                    submitted.append(tagged)
+            else:
+                session.submit_many(ArrivalBatch.from_items(rows))
+                submitted.extend(rows)
+        return session, submitted
+
+    @staticmethod
+    def _verdict(result: PackingResult) -> str | None:
+        try:
+            result.validate()
+        except ValidationError as exc:
+            return str(exc)
+        return None
+
+    @settings(max_examples=60, deadline=None)
+    @given(_session_script(), st.sampled_from(["vector-first-fit", "best-fit"]))
+    def test_matches_item_built_reference(self, script, packer):
+        dims, runs = script
+        if packer == "best-fit" and dims > 1:
+            packer = "vector-first-fit"
+        session, submitted = self._drive(packer, runs)
+        result = session.result()
+        ref = PackingResult(ItemList(submitted), result.assignment)
+        assert result.items._items is None  # validate/total_usage read columns
+        assert result.assignment == ref.assignment
+        assert result.total_usage().hex() == ref.total_usage().hex()
+        assert self._verdict(result) == self._verdict(ref) is None
+        # One bin for everything: the overflow message must match too.
+        crammed = {i: 0 for i in result.assignment}
+        assert self._verdict(PackingResult(result.items, crammed)) == self._verdict(
+            PackingResult(ref.items, crammed)
+        )
+        assert result.items._items is None
+        assert list(result.items) == list(ref.items)
+        for r in submitted:
+            assert result.items.by_id(r.id).tags == r.tags
+
+    def test_overflow_message(self):
+        session = PackingSession("vector-first-fit")
+        session.submit_many(
+            ArrivalBatch.from_arrays([5, 3], [1.0, 1.0], [4.0, 3.0], [[0.2, 0.7], [0.2, 0.6]])
+        )
+        session.submit(Item(9, (0.25, 0.25), Interval(2.0, 5.0), {"via": "submit"}))
+        result = PackingResult(session.result().items, {3: 0, 5: 0, 9: 0})
+        with pytest.raises(
+            ValidationError,
+            match=r"^bin 0 overflows \(dim 1\) at t=1\.0: level 1\.2999999999999998 > capacity 1\.0$",
+        ):
+            result.validate()
+        assert [r.id for r in result.items] == [3, 5, 9]
+
+    def test_batch_rows_have_no_tags(self):
+        session = PackingSession("first-fit")
+        session.submit_many([Item(0, 0.5, Interval(0.0, 1.0), {"app": "x"})])
+        assert session.result().items.by_id(0).tags == {}
+
+    def test_empty_session(self):
+        result = PackingSession("first-fit").result()
+        assert len(result.items) == 0 and result.total_usage() == 0.0
+        result.validate()
+
+
+class TestArrivalBatchFromItems:
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_size_matrix_layout(self, dims):
+        rows = [Item(i, (0.1 * (i + 1),) * dims, Interval(i, i + 1.0)) for i in range(4)]
+        sizes = ArrivalBatch.from_items(rows).sizes
+        assert sizes.shape == (4, dims) and sizes.dtype == np.float64
+        assert sizes.flags.c_contiguous
+        assert sizes[:, -1].tolist() == [r.sizes[-1] for r in rows]
+
+    def test_empty(self):
+        batch = ArrivalBatch.from_items([])
+        assert batch.sizes.shape == (0, 1) and len(batch) == 0

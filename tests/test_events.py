@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import Event, EventKind, Interval, Item, ItemList, event_stream
 
@@ -138,6 +139,25 @@ class TestEventArrays:
         ghost = Item(999, 0.5, Interval(123.0, 456.0))
         with pytest.raises(ValidationError, match="not in the timeline"):
             EventArrays.from_items(simple_items).retimed([ghost], [])
+
+    @given(items_strategy(), st.data())
+    def test_retimed_chain_matches_fresh_build(self, items, data):
+        """Successive one-item swaps splice to the fresh timeline, ties included."""
+        from repro.core.events import EventArrays
+
+        ev = EventArrays.from_items(items)
+        for _ in range(3):
+            old = items[data.draw(st.integers(0, len(items) - 1))]
+            # Reuse existing event times so multiplicities go up and down.
+            times = items.event_times()
+            start = data.draw(st.sampled_from(times[:-1]))
+            end = data.draw(st.sampled_from([t for t in times if t > start]))
+            new = Item(old.id, old.size, Interval(start, end))
+            items = items.replace(new)
+            ev = ev.retimed([old], [new])
+            fresh = EventArrays.from_items(items)
+            assert ev.times == fresh.times == items.event_times()
+            assert ev.times_all.tolist() == fresh.times_all.tolist()
 
 
 class TestOptTotalSliceEngines:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Interval, Item, ItemList, ValidationError
 
-from conftest import items_strategy
+from conftest import durations, items_strategy, sizes
 
 
 class TestItem:
@@ -219,3 +223,138 @@ class TestItemListProperties:
     @given(items_strategy())
     def test_roundtrip_json(self, items):
         assert ItemList.from_json(items.to_json()) == items
+
+
+@st.composite
+def columns_strategy(draw):
+    """Raw item rows with tied arrivals and shuffled ids, d = 1..3."""
+    dims = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=14))
+    ids = draw(st.permutations(range(100, 100 + n)))
+    rows = []
+    for item_id in ids:
+        # Few distinct arrivals, so (arrival, id) ties are common.
+        arrival = float(draw(st.integers(min_value=0, max_value=4)))
+        duration = draw(durations)
+        row = tuple(draw(sizes) for _ in range(dims))
+        rows.append((item_id, arrival, arrival + duration, row))
+    return dims, rows
+
+
+def _column_built(dims: int, rows) -> ItemList:
+    """Sort raw rows by (arrival, id) and wrap them as a column-backed list."""
+    ids = np.array([r[0] for r in rows], dtype=np.int64)
+    arrivals = np.array([r[1] for r in rows], dtype=np.float64)
+    departures = np.array([r[2] for r in rows], dtype=np.float64)
+    size_rows = np.array([r[3] for r in rows], dtype=np.float64).reshape(len(rows), dims)
+    order = np.lexsort((ids, arrivals))
+    return ItemList._from_columns(
+        ids[order], arrivals[order], departures[order], size_rows[order]
+    )
+
+
+class TestColumnBackedItemList:
+    """A column-backed list behaves exactly like the item-built one."""
+
+    @settings(max_examples=60)
+    @given(columns_strategy(), st.data())
+    def test_every_public_method_agrees(self, case, data):
+        dims, rows = case
+        ref = ItemList(Item(i, s, Interval(a, d)) for i, a, d, s in rows)
+        col = _column_built(dims, rows)
+
+        # Shape questions and the columns build no items.
+        assert len(col) == len(ref) and col.dims == ref.dims
+        assert bool(col) == bool(ref)
+        for mine, theirs in zip(col.columns(), ref.columns()):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+        assert col._items is None
+
+        assert list(col) == list(ref)
+        assert [r.id for r in col] == [r.id for r in ref]
+        assert col == ref and hash(col) == hash(ref)
+        for i, _, _, _ in rows:
+            assert col.by_id(i) == ref.by_id(i)
+        assert np.array_equal(col.sizes_matrix(), ref.sizes_matrix())
+        assert col.event_times() == ref.event_times()
+        assert col.to_records() == ref.to_records()
+        for dim in range(dims):
+            assert list(col.size_profile(dim).segments()) == list(
+                ref.size_profile(dim).segments()
+            )
+        assert col.total_demand() == ref.total_demand()
+        assert col.span() == ref.span()
+        target = data.draw(st.sampled_from([r[0] for r in rows]))
+        arrival = float(data.draw(st.integers(min_value=0, max_value=4)))
+        new = Item(target, (0.5,) * dims, Interval(arrival, arrival + 1.0))
+        swapped_col, swapped_ref = col.replace(new), ref.replace(new)
+        assert list(swapped_col) == list(swapped_ref)
+        assert list(swapped_col) == sorted(swapped_ref, key=lambda r: (r.arrival, r.id))
+        assert np.array_equal(swapped_col.columns()[0], swapped_ref.columns()[0])
+        expected = [] if ref.by_id(target) == new else [target]
+        assert col.changed_ids(swapped_col) == expected
+        assert ref.changed_ids(swapped_ref) == expected
+        assert col.changed_ids(ref) == []
+
+    @settings(max_examples=30)
+    @given(columns_strategy())
+    def test_pickle_round_trip(self, case):
+        dims, rows = case
+        col = _column_built(dims, rows)
+        lazy = pickle.loads(pickle.dumps(col))
+        assert lazy._items is None
+        list(col)  # build the items, then pickle the item form
+        built = pickle.loads(pickle.dumps(col))
+        for restored in (lazy, built):
+            assert restored == col and restored.dims == col.dims
+            for mine, theirs in zip(restored.columns(), col.columns()):
+                assert np.array_equal(mine, theirs)
+
+    def test_columns_are_read_only(self, simple_items):
+        for column in simple_items.columns():
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_prebuilt_items_keep_their_tags(self):
+        tagged = Item(7, 0.25, Interval(1.0, 2.0), {"app": "x"})
+        col = ItemList._from_columns(
+            np.array([3, 7]),
+            np.array([0.0, 1.0]),
+            np.array([1.0, 2.0]),
+            np.array([[0.5], [0.25]]),
+            [tagged],
+        )
+        assert col.by_id(7) is tagged
+        assert col.by_id(3).tags == {}
+
+    def test_ids_beyond_int64_stay_python_ints(self):
+        from repro.algorithms import get_packer
+
+        huge = 2**70
+        items = ItemList([Item(huge, 0.5, Interval(0.0, 2.0)), Item(1, 0.75, Interval(1.0, 3.0))])
+        assert items.columns()[0].tolist() == [huge, 1]
+        result = get_packer("first-fit").pack(items)
+        result.validate()
+        assert result.total_usage() == 4.0
+
+
+class TestReplace:
+    def test_unknown_id_raises_key_error(self, simple_items):
+        with pytest.raises(KeyError):
+            simple_items.replace(Item(99, 0.5, Interval(0.0, 1.0)))
+
+    def test_other_dimensionality_rejected(self, simple_items):
+        with pytest.raises(ValidationError, match="item 1 has 2 dimension"):
+            simple_items.replace(Item(1, (0.5, 0.5), Interval(0.0, 1.0)))
+
+    def test_moves_item_to_its_arrival_position(self, simple_items):
+        moved = simple_items.replace(Item(0, 0.5, Interval(5.0, 6.0)))
+        assert [r.id for r in moved] == [1, 2, 0]
+        assert moved.by_id(0).arrival == 5.0
+        assert moved.columns()[1].tolist() == [1.0, 2.0, 5.0]
+
+    def test_single_item_list_may_change_dimensionality(self):
+        one = ItemList([Item(0, 0.5, Interval(0.0, 1.0))])
+        vector = one.replace(Item(0, (0.5, 0.25), Interval(0.0, 1.0)))
+        assert vector.dims == 2 and vector.sizes_matrix().shape == (1, 2)
