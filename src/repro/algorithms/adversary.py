@@ -55,7 +55,7 @@ from ..core.exceptions import ValidationError
 from ..core.items import ItemList
 from ..core.stepfun import DEFAULT_TOL
 from ..obs import TelemetryRegistry, enabled as _telemetry_enabled
-from .optimal import SolverStats, _branch_and_bound, _certificate
+from .optimal import SolverStats, _branch_and_bound, _certificate, _prop3_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.deadline import Deadline
@@ -278,15 +278,17 @@ def _slice_count(
     memo: MemoCache,
     stats: SolverStats | None,
     deadline: "Deadline | None" = None,
+    lower_bound: int | None = None,
 ) -> int:
     """Exact bin count of one ascending slice.
 
     Prop 3 certificate → FFD → memo → branch and bound: the certificate
     settles most slices against the warm upper bound or the FFD count with
     no memo key at all; only the residue is looked up, and only search
-    results are cached.
+    results are cached.  ``lower_bound`` is the slice's Prop 3 bound when
+    the caller already computed it.
     """
-    count, ffd = _certificate(sizes, warm_upper, tol)
+    count, ffd = _certificate(sizes, warm_upper, tol, lower_bound)
     if count is not None:
         if stats is not None:
             stats.certified += 1
@@ -425,6 +427,38 @@ def _merge_windows(windows: list[tuple[float, float]]) -> list[tuple[float, floa
     return merged
 
 
+def _integral(
+    sizes: list[tuple[float, ...]], counts: list[int], times: list[float]
+) -> float:
+    """``Σ counts[k] · (times[k+1] − times[k])`` over the non-empty slices.
+
+    Summed left to right: the one order every oracle total is computed in.
+    """
+    total = 0.0
+    for k, active in enumerate(sizes):
+        if active:
+            total += counts[k] * (times[k + 1] - times[k])
+    return total
+
+
+def _proves_rejection(
+    target: tuple[float, float],
+    sizes: list[tuple[float, ...]],
+    counts: list[int],
+    times: list[float],
+) -> bool:
+    """Whether ``counts``, each at most its slice's optimum, prove rejection.
+
+    Each count is an integer no larger than the exact one and is multiplied
+    by the same width and summed in the same order, so the float sum is at
+    most the float ``OPT_total``.  Correctly rounded division is monotone,
+    hence ``usage / OPT_total <= usage / lower <= current``.
+    """
+    usage, current = target
+    lower = _integral(sizes, counts, times)
+    return lower > 0 and usage / lower <= current
+
+
 #: The oracle's remembered evaluation: per-slice size multisets, per-slice
 #: optima and the timeline whose ``times`` bound the slices.
 _SliceState = tuple[list[tuple[float, ...]], list[int], EventArrays]
@@ -497,8 +531,29 @@ class AdversaryOracle:
         """Forget the remembered baseline (the memo cache is kept)."""
         self._items = self._sizes = self._counts = self._events = None
 
-    def opt_total(self, items: ItemList) -> float:
+    def opt_total(
+        self, items: ItemList, *, target: tuple[float, float] | None = None
+    ) -> float | None:
         """Exact ``OPT_total(items)``, incrementally when possible.
+
+        Args:
+            items: The instance to evaluate.
+            target: Optional rejection target ``(usage, current)``: a
+                hill-climb candidate's usage and the ratio it must beat.
+                The incremental path then sums the spliced slices' exact
+                counts and the re-walked slices' Prop 3 lower bounds in the
+                integral's own order; when ``usage / bound <= current`` it
+                returns ``None`` without solving anything.  Otherwise it
+                solves the re-walked slices left to right and re-checks
+                after each one whose exact count exceeds its bound.
+                ``None`` proves ``usage / OPT_total(items) <= current``;
+                the call may still return the exact value, which the caller
+                compares itself.  Without a target the call never returns
+                ``None``.
+
+        A call that returns ``None`` or raises leaves the remembered
+        baseline unchanged: the next hill-climb candidate is at most two
+        items away from it, so it still takes the incremental path.
 
         Raises:
             SolverLimitError: if an uncached residue slice exceeds the node budget;
@@ -513,22 +568,22 @@ class AdversaryOracle:
                 if not changed:
                     state = self._sizes, self._counts, self._events  # type: ignore[assignment]
                 elif len(changed) <= max(2, int(len(items) * self._INCREMENTAL_FRACTION)):
-                    state = self._incremental(items, changed)
+                    state = self._incremental(items, changed, target)
+                    if state is None:
+                        return None
         if state is None:
             state = self._full(items)
         sizes, counts, events = state
-        times = events.times
-        total = 0.0
-        for k, active in enumerate(sizes):
-            if active:
-                total += counts[k] * (times[k + 1] - times[k])
+        total = _integral(sizes, counts, events.times)
         self._items = items
         self._sizes, self._counts, self._events = state
         return total
 
     # -- evaluation paths ---------------------------------------------------
 
-    def _count(self, sizes: tuple[float, ...], warm_upper: int) -> int:
+    def _count(
+        self, sizes: tuple[float, ...], warm_upper: int, lower_bound: int | None = None
+    ) -> int:
         return _slice_count(
             sizes,
             warm_upper,
@@ -536,6 +591,7 @@ class AdversaryOracle:
             max_nodes=self.max_nodes,
             memo=self.memo,
             stats=self.stats,
+            lower_bound=lower_bound,
         )
 
     def _full(self, items: ItemList) -> _SliceState:
@@ -552,7 +608,12 @@ class AdversaryOracle:
         self.stats.full_evals += 1
         return sizes, counts, events
 
-    def _incremental(self, items: ItemList, changed: list[int]) -> _SliceState:
+    def _incremental(
+        self,
+        items: ItemList,
+        changed: list[int],
+        target: tuple[float, float] | None,
+    ) -> _SliceState | None:
         assert self._items is not None and self._events is not None
         assert self._sizes is not None and self._counts is not None
         old_items, old_sizes, old_counts = self._items, self._sizes, self._counts
@@ -609,6 +670,9 @@ class AdversaryOracle:
         stats = self.stats
         sizes: list[tuple[float, ...]] = []
         counts: list[int] = []
+        # Non-empty re-walked slices, solved below in left-to-right order so
+        # each one's warm upper bound reads its predecessor's exact count.
+        todo: list[int] = []
         done = 0
         for a, b in ranges:
             if done < a:
@@ -635,15 +699,31 @@ class AdversaryOracle:
                     if arrival <= left < departure:
                         insort(active, size)
                 cur = tuple(active)
-                count = 0
                 if cur:
-                    prev = sizes[-1] if sizes else ()
-                    prev_count = counts[-1] if counts else 0
-                    count = self._count(cur, prev_count + _added_count(prev, cur))
+                    todo.append(k)
                 sizes.append(cur)
-                counts.append(count)
+                counts.append(0)
             done = b
         assert len(sizes) == n_slices
+
+        if target is not None and todo:
+            # Until solved, a re-walked slice's count holds its Prop 3 bound.
+            for k in todo:
+                counts[k] = _prop3_bound(sizes[k], self.tol)
+            if _proves_rejection(target, sizes, counts, times):
+                stats.bound_rejects += 1
+                return None
+        for k in todo:
+            cur = sizes[k]
+            prev, prev_count = (sizes[k - 1], counts[k - 1]) if k else ((), 0)
+            bound = counts[k] if target is not None else None
+            count = self._count(cur, prev_count + _added_count(prev, cur), bound)
+            counts[k] = count
+            if bound is not None and count > bound and _proves_rejection(
+                target, sizes, counts, times  # type: ignore[arg-type]
+            ):
+                stats.bound_rejects += 1
+                return None
         stats.incremental_evals += 1
         return sizes, counts, events
 

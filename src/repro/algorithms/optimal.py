@@ -61,9 +61,10 @@ _SOLVER_DOCS = {
     "memo_misses": "Residue slices that had to be searched.",
     "slices": "Elementary intervals processed by ``opt_total``.",
     "slices_reused": "Slices an incremental re-evaluation copied from the previous one.",
-    "incremental_evals": "Oracle evaluations served by the incremental path.",
+    "incremental_evals": "Oracle evaluations the incremental path answered exactly.",
     "full_evals": "Evaluations that swept the whole timeline.",
     "certified": "Instances answered by the Prop 3 certificate, without search.",
+    "bound_rejects": "Oracle evaluations whose rejection target the Prop 3 bounds proved.",
 }
 SOLVER_FIELDS = tuple(_SOLVER_DOCS)
 
@@ -108,12 +109,17 @@ class SolverStats:
         slices_reused: Slices an incremental re-evaluation copied verbatim
             from the previous evaluation (no rescan, no memo lookup).
         incremental_evals: Oracle evaluations served by the incremental
-            (mutation-window) path.
+            (mutation-window) path to an exact value (bound rejections
+            count in ``bound_rejects`` instead).
         full_evals: Oracle / ``opt_total`` evaluations that swept the whole
             timeline.
         certified: Instances answered by the Prop 3 certificate — the
             lower bound met the warm upper bound or the FFD count — with no
             memo lookup and no search.
+        bound_rejects: Oracle evaluations given a rejection target that
+            the spliced exact counts plus the Prop 3 bounds of the
+            re-walked slices proved, leaving those slices unsolved (see
+            :meth:`~repro.algorithms.AdversaryOracle.opt_total`).
         solve_latency: Per-solve latency :class:`~repro.obs.Histogram` of
             the branch-and-bound searches the sweep runs on residue memo
             misses (recorded only while telemetry timing is enabled; not
@@ -146,6 +152,7 @@ class SolverStats:
     incremental_evals = _counter_view("incremental_evals")
     full_evals = _counter_view("full_evals")
     certified = _counter_view("certified")
+    bound_rejects = _counter_view("bound_rejects")
 
     @property
     def solve_latency(self) -> Histogram:
@@ -209,27 +216,38 @@ def _ffd_bins(sizes: Iterable[float], tol: float, *, presorted: bool = False) ->
     return len(levels)
 
 
-def _certificate(
-    ascending: Sequence[float], upper_bound: int | None, tol: float
-) -> tuple[int | None, int]:
-    """Settle a non-empty ascending multiset without search, if possible.
+def _prop3_bound(ascending: Sequence[float], tol: float) -> int:
+    """The Proposition 3 lower bound on a non-empty ascending multiset.
 
-    The Proposition 3 lower bound is the larger of the continuous bound ⌈S⌉
-    and the number of items above one half, no two of which share a bin.
-    Returns ``(count, ffd)``: ``count`` is the exact optimum when the bound
-    meets ``upper_bound`` (checked first, so FFD is skipped) or the FFD
-    count, and ``None`` otherwise; ``ffd`` is then the FFD count, the
-    incumbent :func:`_branch_and_bound` starts from.
+    The larger of the continuous bound ⌈S⌉ and the number of items above
+    one half, no two of which share a bin.
     """
     # The sum is taken afresh from the slice's own sizes, never carried
     # between slices, so rounding drift cannot inflate the bound.  A bin
     # accepts items up to level 1 + tol, so the total is divided by that
     # capacity: ⌈S − tol⌉ alone would claim 3 bins for (½, ½, ½+tol, ½+tol),
     # which fits two bins filled to exactly 1 + tol.
-    lb = max(
+    return max(
         math.ceil((sum(ascending) - tol) / (1.0 + tol)),
         len(ascending) - bisect_right(ascending, 0.5 + tol),
     )
+
+
+def _certificate(
+    ascending: Sequence[float],
+    upper_bound: int | None,
+    tol: float,
+    lower_bound: int | None = None,
+) -> tuple[int | None, int]:
+    """Settle a non-empty ascending multiset without search, if possible.
+
+    Returns ``(count, ffd)``: ``count`` is the exact optimum when the
+    :func:`_prop3_bound` (or ``lower_bound``, when the caller already has
+    it) meets ``upper_bound`` (checked first, so FFD is skipped) or the FFD
+    count, and ``None`` otherwise; ``ffd`` is then the FFD count, the
+    incumbent :func:`_branch_and_bound` starts from.
+    """
+    lb = _prop3_bound(ascending, tol) if lower_bound is None else lower_bound
     if upper_bound is not None and lb >= upper_bound:
         return upper_bound, upper_bound
     ffd = _ffd_bins(reversed(ascending), tol, presorted=True)

@@ -40,7 +40,6 @@ __all__ = [
     "best_lower_bound",
     "vector_demand_lower_bound",
     "vector_ceil_lower_bound",
-    "adversary_denominator",
     "resolve_denominator",
     "DenominatorInfo",
     "OptBounds",
@@ -185,32 +184,6 @@ def resolve_denominator(
     if stats is not None:
         stats.registry.counter("resilience.solver.degraded", reason=reason).inc()
     return DenominatorInfo(best_lower_bound(items), False, reason)
-
-
-def adversary_denominator(
-    items: ItemList,
-    *,
-    exact_opt_max_items: int = 200,
-    solver_nodes: int = 500_000,
-    memo: "MemoCache | None" = None,
-    stats: "SolverStats | None" = None,
-    deadline: "Deadline | None" = None,
-) -> tuple[float, bool]:
-    """Compatibility wrapper over :func:`resolve_denominator`.
-
-    Returns:
-        ``(denominator, exact)`` where ``exact`` is True iff the value is
-        the solved ``OPT_total``.
-    """
-    info = resolve_denominator(
-        items,
-        exact_opt_max_items=exact_opt_max_items,
-        solver_nodes=solver_nodes,
-        memo=memo,
-        stats=stats,
-        deadline=deadline,
-    )
-    return info.value, info.exact
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,7 +21,14 @@ evaluation costs what its mutation changes:
   ratios;
 * the packer's usage comes from
   :meth:`~repro.core.PackingResult.total_usage`, one Python pass over the
-  items.
+  items;
+* the candidate is packed first and its usage and the ratio to beat are
+  handed to the oracle as a rejection target: most rejections are proved
+  from the spliced exact counts plus the paper's Prop 3 lower bound
+  (max(⌈S(t)⌉, #sizes > ½) ≤ OPT(t)) of the re-walked slices, with no
+  FFD, memo lookup or branch and bound, and such a proof is treated
+  exactly like ``cand_ratio <= current_ratio``.  It is never a budget
+  rejection (see ``SolverStats.bound_rejects``).
 """
 
 from __future__ import annotations
@@ -62,9 +69,17 @@ class SearchResult:
     solver_stats: SolverStats = field(default_factory=SolverStats, compare=False)
 
 
-def _ratio(packer: Packer, items: ItemList, oracle: AdversaryOracle) -> float:
+def _ratio(
+    packer: Packer,
+    items: ItemList,
+    oracle: AdversaryOracle,
+    current: float | None = None,
+) -> float | None:
+    """The exact ratio of ``items``, or ``None`` once it is proved ``<= current``."""
     usage = packer.pack(items).total_usage()
-    denom = oracle.opt_total(items)
+    denom = oracle.opt_total(items, target=None if current is None else (usage, current))
+    if denom is None:
+        return None
     return usage / denom if denom > 0 else 1.0
 
 
@@ -172,11 +187,11 @@ def find_bad_instance(
                 candidate = _mutate(rng, current, span, min_duration, max_duration)
                 mutations.inc()
                 try:
-                    cand_ratio = _ratio(packer, candidate, oracle)
+                    cand_ratio = _ratio(packer, candidate, oracle, current_ratio)
                 except SolverLimitError:
                     rejected.inc()
                     continue
-                if cand_ratio > current_ratio:
+                if cand_ratio is not None and cand_ratio > current_ratio:
                     current, current_ratio = candidate, cand_ratio
                     accepted += 1
                     accepts.inc()

@@ -219,6 +219,28 @@ def _item_columns(items: Sequence[Item], dims: int) -> Columns:
     return ids, arrivals, departures, sizes.reshape(n, dims)
 
 
+def _moved_row(columns: Columns, src: int, dst: int, item: Item) -> Columns:
+    """``columns`` with row ``src`` removed and ``item``'s row put at ``dst``.
+
+    ``dst`` indexes the list after the removal, as in :meth:`ItemList.replace`:
+    a copy of each array shifts the rows between the two positions by one
+    and writes the new row.  (``np.delete`` + ``np.insert`` cost more than
+    deriving the columns afresh.)
+    """
+    out = []
+    row = (item.id, item.interval.left, item.interval.right, item.sizes)
+    for column, value in zip(columns, row):
+        moved = column.copy()
+        if dst < src:
+            moved[dst + 1 : src + 1] = column[dst:src]
+        elif dst > src:
+            moved[src:dst] = column[src + 1 : dst + 1]
+        moved[dst] = value
+        moved.flags.writeable = False
+        out.append(moved)
+    return tuple(out)  # type: ignore[return-value]
+
+
 def _arrival_key(item: Item) -> tuple[float, int]:
     """The :class:`ItemList` order: arrival, ties broken by id."""
     return (item.interval.left, item.id)
@@ -531,6 +553,7 @@ class ItemList:
         incremental adversary oracle: the old item is removed and the new
         one bisect-inserted at its (arrival, id) position, every other item
         object is shared, and only the new item's dimensions are checked.
+        Cached :meth:`columns` are passed on with the one row moved.
 
         Raises:
             KeyError: if no item with ``item.id`` exists.
@@ -545,15 +568,22 @@ class ItemList:
                 f"list is {self._dims}-dimensional (all items must agree)"
             )
         items = list(self.items)
-        del items[bisect_left(items, _arrival_key(old), key=_arrival_key)]
-        items.insert(bisect_left(items, _arrival_key(item), key=_arrival_key), item)
+        src = bisect_left(items, _arrival_key(old), key=_arrival_key)
+        del items[src]
+        dst = bisect_left(items, _arrival_key(item), key=_arrival_key)
+        items.insert(dst, item)
         by_id = dict(self._index())
         by_id[item.id] = item
         out = object.__new__(ItemList)
         out._items = tuple(items)
         out._by_id = by_id
         out._dims = dims
-        out._columns = None
+        columns = self._columns
+        out._columns = (
+            None
+            if columns is None or dims != self._dims
+            else _moved_row(columns, src, dst, item)
+        )
         out._prebuilt = None
         out._size_profile_cache = {}
         return out

@@ -345,10 +345,12 @@ class PackingSession:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         arr = batch.arrivals
+        # Sort plus adjacent compare: np.unique would import numpy.ma.
+        ids_sorted = np.sort(batch.ids)
         if (
             float(arr[0]) < self._clock
             or (n > 1 and not bool((arr[1:] >= arr[:-1]).all()))
-            or len(np.unique(batch.ids)) != n
+            or bool((ids_sorted[1:] == ids_sorted[:-1]).any())
             or not self._ids.isdisjoint(batch.ids.tolist())
         ):
             return self._submit_fallback(batch)

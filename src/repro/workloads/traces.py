@@ -496,7 +496,9 @@ def _columns_to_items(table: np.ndarray, dims: int) -> ItemList | None:
     if (departures <= arrivals).any():
         return None
     ids_int = ids.astype(np.int64)
-    if len(np.unique(ids_int)) != len(ids_int):
+    # Sort plus adjacent compare: np.unique would import numpy.ma.
+    ids_sorted = np.sort(ids_int)
+    if (ids_sorted[1:] == ids_sorted[:-1]).any():
         return None
     # The lexsort reproduces ItemList's (arrival, id) ordering contract.
     order = np.lexsort((ids_int, arrivals))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     AdversaryOracle,
@@ -17,6 +18,7 @@ from repro.algorithms import (
 )
 from repro.bounds.search import _mutate, _random_instance
 from repro.core import Interval, Item, ItemList, SolverLimitError
+from repro.core.stepfun import DEFAULT_TOL
 from repro.workloads import uniform_random
 
 from conftest import items_strategy
@@ -354,6 +356,137 @@ class TestOracleSplice:
         assert stats.slices == slices
 
 
+#: Sizes whose slice sums land on an integer, or an integer ± tol: the edge
+#: of the Prop 3 bound's ⌈(S − tol)/(1 + tol)⌉ and of its "> ½ + tol" count.
+EDGE_SIZES = (
+    0.5,
+    0.25,
+    0.125,
+    0.75,
+    1.0,
+    0.1,
+    0.2,
+    0.3,
+    0.5 + DEFAULT_TOL,
+    0.5 - DEFAULT_TOL,
+    0.25 + DEFAULT_TOL / 2,
+    0.25 - DEFAULT_TOL / 2,
+)
+
+edge_items = st.lists(
+    st.tuples(
+        st.sampled_from(EDGE_SIZES),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=4),
+    ),
+    min_size=3,
+    max_size=12,
+).map(
+    lambda rows: ItemList(
+        Item(i, s, Interval(float(a), float(a + d))) for i, (s, a, d) in enumerate(rows)
+    )
+)
+
+
+class TestBoundFirstRejection:
+    """A rejection target never changes an answer the search acts on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(base=edge_items, data=st.data())
+    def test_rejection_is_sound(self, base, data):
+        stats = SolverStats()
+        oracle = AdversaryOracle(stats=stats)
+        oracle.opt_total(base)
+        current = base
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            item_id = data.draw(st.sampled_from([r.id for r in current]))
+            arrival = float(data.draw(st.integers(min_value=0, max_value=5)))
+            duration = float(data.draw(st.integers(min_value=1, max_value=4)))
+            size = data.draw(st.sampled_from(EDGE_SIZES))
+            candidate = current.replace(
+                Item(item_id, size, Interval(arrival, arrival + duration))
+            )
+            exact = opt_total(candidate, memo=MemoCache())
+            usage = exact * data.draw(st.sampled_from([0.5, 1.0, 1.3, 2.0]))
+            ratio = usage / exact
+            target = data.draw(
+                st.sampled_from(
+                    [
+                        ratio,  # a tie must reject
+                        np.nextafter(ratio, 0.0),
+                        np.nextafter(ratio, np.inf),
+                        ratio * 0.9,
+                        ratio * 1.1,
+                    ]
+                )
+            )
+            rejects = stats.bound_rejects
+            got = oracle.opt_total(candidate, target=(usage, target))
+            if got is None:
+                assert usage / exact <= target
+                assert stats.bound_rejects == rejects + 1
+            else:
+                assert got == exact
+                assert stats.bound_rejects == rejects
+            if target == ratio:
+                assert got is None or usage / got <= target
+            if got is None or data.draw(st.booleans()):
+                # The next call, after a rejection too, is exact bit for bit.
+                again = oracle.opt_total(candidate)
+                assert again == exact == opt_total_scan(candidate)
+            if data.draw(st.booleans()):
+                current = candidate
+
+    def test_tie_rejects_without_solving(self):
+        base = ItemList(
+            [
+                Item(0, 0.5, Interval(0.0, 4.0)),
+                Item(1, 0.5 + DEFAULT_TOL, Interval(1.0, 3.0)),
+                Item(2, 0.25, Interval(2.0, 5.0)),
+            ]
+        )
+        stats = SolverStats()
+        oracle = AdversaryOracle(stats=stats)
+        oracle.opt_total(base)
+        candidate = moved(base, 2, size=0.5 - DEFAULT_TOL)
+        exact = opt_total(candidate, memo=MemoCache())
+        usage = 1.25 * exact
+        certified = stats.certified
+        assert oracle.opt_total(candidate, target=(usage, usage / exact)) is None
+        assert stats.certified == certified and stats.bound_rejects == 1
+        # Beyond the exact ratio the candidate is accepted, with its exact value.
+        beaten = np.nextafter(usage / exact, 0.0)
+        assert oracle.opt_total(candidate, target=(usage, beaten)) == exact
+
+    def test_rejection_keeps_the_baseline(self):
+        # The hill climb's pattern: only an exactly answered candidate can
+        # be accepted, so the baseline stays within two items of the next
+        # candidate and every evaluation takes the incremental path.
+        from repro.algorithms import FirstFitPacker
+
+        rng = np.random.default_rng(4)
+        packer = FirstFitPacker()
+        stats = SolverStats()
+        oracle = AdversaryOracle(stats=stats)
+        current = _random_instance(rng, 14, 10.0, 0.5, 8.0)
+        current_ratio = packer.pack(current).total_usage() / oracle.opt_total(current)
+        for _ in range(300):
+            candidate = _mutate(rng, current, 10.0, 0.5, 8.0)
+            usage = packer.pack(candidate).total_usage()
+            exact = opt_total_scan(candidate)
+            got = oracle.opt_total(candidate, target=(usage, current_ratio))
+            if got is None:
+                assert usage / exact <= current_ratio
+                assert oracle._items is not candidate
+                continue
+            assert got == exact and oracle._items is candidate
+            if usage / got > current_ratio:
+                current, current_ratio = candidate, usage / got
+        assert stats.full_evals == 1
+        assert stats.bound_rejects > 150
+        assert stats.incremental_evals + stats.bound_rejects >= 290
+
+
 class TestSolverStats:
     def test_merge_adds_counters(self):
         a = SolverStats(nodes=1, memo_hits=2, slices=3)
@@ -377,6 +510,7 @@ class TestSolverStats:
             "incremental_evals",
             "full_evals",
             "certified",
+            "bound_rejects",
         }
 
     def test_exposed_via_analysis(self):

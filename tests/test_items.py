@@ -358,3 +358,29 @@ class TestReplace:
         one = ItemList([Item(0, 0.5, Interval(0.0, 1.0))])
         vector = one.replace(Item(0, (0.5, 0.25), Interval(0.0, 1.0)))
         assert vector.dims == 2 and vector.sizes_matrix().shape == (1, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_splices_cached_columns(self, data):
+        """A list holding columns passes them on, spliced, equal to a fresh derivation."""
+        from repro.core.items import _item_columns
+
+        dims = data.draw(st.integers(min_value=1, max_value=3))
+        base = data.draw(st.sampled_from([0, 2**70]))  # int64 and object ids
+        tied = st.integers(min_value=0, max_value=4).map(float)
+        starts = data.draw(st.lists(tied, min_size=1, max_size=10))
+        items = ItemList(
+            Item(base + i, (0.5,) * dims, Interval(a, a + 1.0)) for i, a in enumerate(starts)
+        )
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            items.columns()
+            target = data.draw(st.sampled_from([r.id for r in items]))
+            # Before the first and after the last arrival, or onto a tie.
+            arrival = data.draw(st.sampled_from([-1.0, 9.0]) | tied)
+            size = data.draw(st.floats(min_value=0.01, max_value=1.0))
+            items = items.replace(Item(target, (size,) * dims, Interval(arrival, arrival + 2.0)))
+            assert items._columns is not None
+            for mine, theirs in zip(items._columns, _item_columns(items.items, dims)):
+                assert mine.dtype == theirs.dtype
+                assert np.array_equal(mine, theirs)
+                assert not mine.flags.writeable

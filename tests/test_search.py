@@ -121,27 +121,30 @@ SEARCH_PINS = {
         "1.3000739063453535",
         "406045e45e53a89f9274d33889cd929b8c0e5e69643068f57565248dcd4558e4",
         {
-            "nodes": 208, "lb_prunes": 0, "dominance_hits": 0, "warm_start_hits": 0,
-            "memo_hits": 44, "memo_misses": 47, "slices": 1830, "slices_reused": 938,
-            "incremental_evals": 120, "full_evals": 2, "certified": 788,
+            "nodes": 173, "lb_prunes": 0, "dominance_hits": 0, "warm_start_hits": 0,
+            "memo_hits": 6, "memo_misses": 37, "slices": 1830, "slices_reused": 1233,
+            "incremental_evals": 21, "full_evals": 2, "certified": 161,
+            "bound_rejects": 99,
         },
     ),
     ("classify-duration", (("alpha", 2.0),)): (
         "1.644478447565616",
         "166488553b61bad6c36fa53f001bad80a49e6ac9512aac7c3b1427db9ebfbc70",
         {
-            "nodes": 143, "lb_prunes": 0, "dominance_hits": 3, "warm_start_hits": 0,
-            "memo_hits": 18, "memo_misses": 30, "slices": 1830, "slices_reused": 1034,
-            "incremental_evals": 120, "full_evals": 2, "certified": 743,
+            "nodes": 126, "lb_prunes": 0, "dominance_hits": 2, "warm_start_hits": 0,
+            "memo_hits": 3, "memo_misses": 26, "slices": 1830, "slices_reused": 1289,
+            "incremental_evals": 32, "full_evals": 2, "certified": 163,
+            "bound_rejects": 88,
         },
     ),
     ("classify-departure", (("rho", 4.0),)): (
         "1.3170158919755481",
         "8264bcb4efb8f990ae26f128394bb517ab46860e3b613917b9d8d4ded8e89076",
         {
-            "nodes": 60, "lb_prunes": 0, "dominance_hits": 2, "warm_start_hits": 0,
-            "memo_hits": 11, "memo_misses": 13, "slices": 1830, "slices_reused": 1086,
-            "incremental_evals": 120, "full_evals": 2, "certified": 710,
+            "nodes": 7, "lb_prunes": 0, "dominance_hits": 0, "warm_start_hits": 0,
+            "memo_hits": 2, "memo_misses": 2, "slices": 1815, "slices_reused": 1308,
+            "incremental_evals": 26, "full_evals": 2, "certified": 162,
+            "bound_rejects": 93,
         },
     ),
 }

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 
@@ -195,3 +200,40 @@ class TestLoadTraceLoaders:
         from repro.workloads import TRACE_LOADERS
 
         assert TRACE_LOADERS == ("object", "columnar")
+
+    def test_batch_paths_never_import_numpy_ma(self, tmp_path):
+        """Columnar loads and ``submit_many`` check ids without ``np.unique``.
+
+        ``np.unique`` imports ``numpy.ma`` on first call, about half a
+        megabyte of resident memory, so it runs in a fresh interpreter.
+        """
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.core import ArrivalBatch
+            from repro.engine import PackingSession
+            from repro.workloads import load_trace, save_trace, uniform_random
+
+            items = uniform_random(200, seed=3)
+            for suffix in ("jsonl", "csv"):
+                path = sys.argv[1] + "." + suffix
+                save_trace(items, path)
+                loaded = load_trace(path, loader="columnar")
+                assert loaded == items
+                session = PackingSession("first-fit")
+                session.submit_many(ArrivalBatch.from_items(loaded))
+                session.result().validate()
+            assert "numpy.ma" not in sys.modules
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "trace")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
