@@ -31,9 +31,13 @@ Server → client replies are single-line JSON objects with a ``status`` key:
 * ``{"status": "snapshot", ...}`` / ``{"status": "hello", ...}`` — command
   answers.
 
-The protocol is deliberately one-line-in/one-line-out so clients can pipeline
-without framing state; the load generator
-(:class:`~repro.serving.LoadGenerator`) and the CI smoke both speak it.
+Every request line gets exactly one reply line, in request order, so clients
+can pipeline without framing state.  The server answers by the read, not by
+the line: the complete lines of one socket read are admitted together (their
+arrivals journaled in one write) and their replies go out in one write.  A
+line longer than 64 KiB is answered with one ``protocol`` rejection and the
+connection closes.  The load generator (:class:`~repro.serving.LoadGenerator`)
+and the CI smoke both speak the protocol.
 """
 
 from __future__ import annotations

@@ -47,7 +47,8 @@ round trip, and a single engine thread keeps placements deterministic).
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from ..core.batch import ArrivalBatch
 from ..core.exceptions import ValidationError
@@ -55,7 +56,7 @@ from ..core.intervals import Interval
 from ..core.items import Item
 from ..engine import EngineSnapshot
 from ..obs import TelemetryRegistry
-from ..resilience import CorruptLogError
+from ..resilience import CorruptLogError, FaultPolicy
 from ..workloads import parse_arrival
 from .manager import ClosedTenant, SessionManager, TenantLimitError
 from .protocol import DEFAULT_TENANT
@@ -144,9 +145,11 @@ class _TenantQueue:
         "dropped",
         "absorbed",
         "touched",
+        "c_admitted",
+        "g_depth",
     )
 
-    def __init__(self, tenant: str) -> None:
+    def __init__(self, tenant: str, registry: TelemetryRegistry) -> None:
         self.tenant = tenant
         self.pending: list[Item] = []
         self.last_arrival = _NEG_INF
@@ -159,6 +162,10 @@ class _TenantQueue:
         self.dropped = 0  # admitted items dropped inside the engine
         self.absorbed = 0  # never-admitted records absorbed at the gate
         self.touched = 0  # LRU tick of the last gate access
+        # Registry cells resolved once: label normalisation per arrival
+        # would cost more than the counting itself.
+        self.c_admitted = registry.counter("serving.admitted", tenant=tenant)
+        self.g_depth = registry.gauge("serving.queue_depth", tenant=tenant)
 
 
 class ServingRuntime:
@@ -243,41 +250,29 @@ class ServingRuntime:
 
     # -- admission (tier 3) --------------------------------------------------
 
-    def offer_line(self, tenant: str, line: str) -> Admission:
-        """Decode one raw NDJSON arrival line and offer it for admission.
+    def offer_lines(self, tenant: str, lines: Sequence[str]) -> list[Admission]:
+        """Decode and offer a run of raw NDJSON arrival lines, in order.
 
-        Decode faults go through the tenant's fault policy with the exact
-        trace-loader diagnostics (:func:`~repro.workloads.parse_arrival`);
-        the record position in messages is the tenant's 1-based arrival
-        count on this runtime.
+        The admission path of every transport: the complete arrival lines
+        one socket read delivered go through the gate together.  Each line
+        is decoded by :func:`~repro.workloads.parse_arrival` with the exact
+        trace-loader diagnostics (the record position in messages is the
+        tenant's 1-based arrival count on this runtime) and gated in order
+        as :meth:`offer` describes, against the ids and queue tail of the
+        arrivals admitted before it in the same run.  Every admitted
+        arrival is then journaled in **one** write (one fsync under
+        ``sync="always"``) before any of them enters the queue, so the
+        caller may acknowledge them all once this returns.  If that write
+        fails, every arrival it held answers ``wal_error`` and none is
+        queued; the other verdicts of the run stand as gated.
+
+        Returns one :class:`Admission` per line, in line order.
         """
-        q = self._admission_queue(tenant)
-        if isinstance(q, Admission):
-            return q
-        q.records += 1
-        # _queue() opened the session, so the tenant's configured policy
-        # governs decode faults from the very first record.
-        policy = self.manager.policy_for(tenant)
-        try:
-            item = parse_arrival(line, lineno=q.records, policy=policy)
-        except ValidationError as exc:
-            reason = (
-                "error_budget"
-                if policy is not None and policy.tripped
-                else "malformed"
-            )
-            return self._reject(tenant, reason, str(exc))
-        if item is None:
-            q.absorbed += 1
-            self.registry.counter(
-                "serving.policy_drops", tenant=tenant
-            ).inc()
-            return Admission(
-                status="dropped",
-                reason="fault_policy",
-                queue_depth=len(q.pending),
-            )
-        return self.offer(tenant, item)
+        return self._admit(tenant, lines, decode=True)
+
+    def offer_line(self, tenant: str, line: str) -> Admission:
+        """Decode and offer one raw NDJSON arrival line (see :meth:`offer_lines`)."""
+        return self.offer_lines(tenant, [line])[0]
 
     def offer(self, tenant: str, item: Item) -> Admission:
         """Offer one decoded arrival for admission into the tenant's queue.
@@ -295,8 +290,108 @@ class ServingRuntime:
           rejected under strict;
         * a full queue is answered ``busy`` (backpressure), never dropped.
         """
+        return self._admit(tenant, (item,), decode=False)[0]
+
+    def _admit(
+        self, tenant: str, records: Sequence[str] | Sequence[Item], *, decode: bool
+    ) -> list[Admission]:
+        """The one admission gate: settle, journal, then queue a run of offers."""
+        if not records:
+            return []
         if self.draining:
-            return self._reject(tenant, "draining", "runtime is draining")
+            return [self._reject(tenant, "draining", "runtime is draining") for _ in records]
+        q = self._admission_queue(tenant)
+        if isinstance(q, Admission):
+            return [q] + [self._reject(tenant, q.reason, q.error) for _ in records[1:]]
+        # _queue() opened the session, so the tenant's configured policy
+        # governs decode faults from the very first record.  Nothing below
+        # flushes or advances, so the session clock holds for the run.
+        policy = self.manager.policy_for(tenant)
+        tail = max(q.last_arrival, self.manager.session(tenant).clock)
+        base = len(q.pending)
+        admitted: list[Item] = []
+        admitted_ids: set[int] = set()
+        verdicts: list[Admission | None] = []  # None: admitted, acked below
+        for record in records:
+            depth = base + len(admitted)
+            if decode:
+                q.records += 1
+                try:
+                    item = parse_arrival(record, lineno=q.records, policy=policy)
+                except ValidationError as exc:
+                    reason = (
+                        "error_budget"
+                        if policy is not None and policy.tripped
+                        else "malformed"
+                    )
+                    verdicts.append(self._reject(tenant, reason, str(exc), depth))
+                    continue
+                if item is None:
+                    verdicts.append(self._absorbed(q, "fault_policy", depth))
+                    continue
+            else:
+                item = record
+            verdict = self._settle(q, policy, item, tail, depth, admitted_ids)
+            if isinstance(verdict, Admission):
+                verdicts.append(verdict)
+                continue
+            item = verdict
+            admitted.append(item)
+            admitted_ids.add(item.id)
+            tail = item.arrival
+            verdicts.append(None)
+        if not admitted:
+            return verdicts  # type: ignore[return-value]
+        if self.wal is not None:
+            # Journal-before-ack: once the client sees "ok" the item exists
+            # on disk, so a kill between ack and flush loses nothing.
+            try:
+                self.wal.tenant(tenant).append_arrivals(admitted)
+            except OSError as exc:
+                # The write was truncated back whole: nothing is queued, no
+                # id is taken and no seq is used up, so a retry can admit.
+                error = f"journal append failed: {exc}"
+                return [
+                    self._reject(tenant, "wal_error", error, base)
+                    if v is None
+                    else replace(v, queue_depth=base)
+                    for v in verdicts
+                ]
+        q.pending.extend(admitted)
+        q.seen_ids.update(admitted_ids)
+        q.last_arrival = tail
+        q.admitted += len(admitted)
+        depth = len(q.pending)
+        q.c_admitted.inc(len(admitted))
+        q.g_depth.set(depth)
+        self._ensure_batcher(q)
+        if depth >= self.batch_size:
+            q.flush_event.set()
+        ok = iter(admitted)
+        out: list[Admission] = []
+        depth = base
+        for v in verdicts:
+            if v is None:
+                depth += 1
+                v = Admission(status="ok", queue_depth=depth, item=next(ok))
+            out.append(v)
+        return out
+
+    def _settle(
+        self,
+        q: _TenantQueue,
+        policy: FaultPolicy | None,
+        item: Item,
+        tail: float,
+        depth: int,
+        admitted_ids: set[int],
+    ) -> Admission | Item:
+        """Gate one decoded arrival: its verdict, or the item to admit.
+
+        ``tail`` and ``depth`` include the arrivals admitted earlier in the
+        same run, and ``admitted_ids`` holds their ids.
+        """
+        tenant = q.tenant
         if self.rate_limiter is not None:
             retry_ms = self.rate_limiter.admit(tenant)
             if retry_ms:
@@ -306,39 +401,28 @@ class ServingRuntime:
                 return Admission(
                     status="busy",
                     reason="rate_limit",
-                    queue_depth=self.queue_depth(tenant),
+                    queue_depth=depth,
                     retry_ms=retry_ms,
                 )
-        q = self._admission_queue(tenant)
-        if isinstance(q, Admission):
-            return q
-        if len(q.pending) >= self.queue_limit:
+        if depth >= self.queue_limit:
             self.registry.counter(
                 "serving.rejects", tenant=tenant, reason="backpressure"
             ).inc()
             return Admission(
                 status="busy",
                 reason="backpressure",
-                queue_depth=len(q.pending),
+                queue_depth=depth,
                 retry_ms=self.retry_hint_ms,
             )
-        policy = self.manager.policy_for(tenant)
-        if item.id in q.seen_ids:
+        if item.id in q.seen_ids or item.id in admitted_ids:
             exc = ValidationError(f"duplicate item id {item.id}")
             if policy is not None and not policy.strict:
                 try:
                     policy.absorb("duplicate_id", exc, action="drop")
                 except ValidationError as tripped:
-                    return self._reject(tenant, "error_budget", str(tripped))
-                q.absorbed += 1
-                self.registry.counter("serving.policy_drops", tenant=tenant).inc()
-                return Admission(
-                    status="dropped",
-                    reason="duplicate_id",
-                    queue_depth=len(q.pending),
-                )
-            return self._reject(tenant, "duplicate_id", str(exc))
-        tail = max(q.last_arrival, self.manager.session(tenant).clock)
+                    return self._reject(tenant, "error_budget", str(tripped), depth)
+                return self._absorbed(q, "duplicate_id", depth)
+            return self._reject(tenant, "duplicate_id", str(exc), depth)
         if item.arrival < tail:
             exc = ValidationError(
                 f"item {item.id} arrives at {item.arrival}, before the "
@@ -349,54 +433,35 @@ class ServingRuntime:
                 try:
                     policy.absorb("out_of_order", exc, action="clamp")
                 except ValidationError as tripped:
-                    return self._reject(tenant, "error_budget", str(tripped))
+                    return self._reject(tenant, "error_budget", str(tripped), depth)
                 departure = item.departure
                 if departure <= tail:
                     departure = tail + 1e-12 * max(1.0, abs(tail))
-                item = Item(item.id, item.sizes, Interval(tail, departure), dict(item.tags))
-            elif policy is not None and not policy.strict:
+                return Item(item.id, item.sizes, Interval(tail, departure), dict(item.tags))
+            if policy is not None and not policy.strict:
                 try:
                     policy.absorb("out_of_order", exc, action="drop")
                 except ValidationError as tripped:
-                    return self._reject(tenant, "error_budget", str(tripped))
-                q.absorbed += 1
-                self.registry.counter("serving.policy_drops", tenant=tenant).inc()
-                return Admission(
-                    status="dropped",
-                    reason="out_of_order",
-                    queue_depth=len(q.pending),
-                )
-            else:
-                return self._reject(tenant, "out_of_order", str(exc))
+                    return self._reject(tenant, "error_budget", str(tripped), depth)
+                return self._absorbed(q, "out_of_order", depth)
+            return self._reject(tenant, "out_of_order", str(exc), depth)
+        return item
 
-        if self.wal is not None:
-            # Journal-before-ack: once the client sees "ok" the item exists
-            # on disk, so a kill between ack and flush loses nothing.
-            try:
-                self.wal.tenant(tenant).append_arrival(item)
-            except OSError as exc:
-                return self._reject(
-                    tenant, "wal_error", f"journal append failed: {exc}"
-                )
-        q.pending.append(item)
-        q.seen_ids.add(item.id)
-        q.last_arrival = item.arrival
-        q.admitted += 1
-        depth = len(q.pending)
-        self.registry.counter("serving.admitted", tenant=tenant).inc()
-        self.registry.gauge("serving.queue_depth", tenant=tenant).set(depth)
-        self._ensure_batcher(q)
-        if depth >= self.batch_size:
-            q.flush_event.set()
-        return Admission(status="ok", queue_depth=depth, item=item)
+    def _absorbed(self, q: _TenantQueue, reason: str, depth: int) -> Admission:
+        """Account one record a non-strict fault policy dropped at the gate."""
+        q.absorbed += 1
+        self.registry.counter("serving.policy_drops", tenant=q.tenant).inc()
+        return Admission(status="dropped", reason=reason, queue_depth=depth)
 
-    def _reject(self, tenant: str, reason: str, error: str) -> Admission:
-        """Account one rejected offer."""
+    def _reject(
+        self, tenant: str, reason: str, error: str, depth: int | None = None
+    ) -> Admission:
+        """Account one rejected offer (``depth``: the queue depth to report)."""
         self.registry.counter("serving.rejects", tenant=tenant, reason=reason).inc()
         return Admission(
             status="rejected",
             reason=reason,
-            queue_depth=self.queue_depth(tenant),
+            queue_depth=self.queue_depth(tenant) if depth is None else depth,
             error=error,
         )
 
@@ -449,7 +514,7 @@ class ServingRuntime:
                     self.manager.session(tenant)
                 except TenantLimitError:
                     return None
-                q = _TenantQueue(tenant)
+                q = _TenantQueue(tenant, self.registry)
                 self._queues[tenant] = q
         self._touch_tick += 1
         q.touched = self._touch_tick
@@ -475,7 +540,7 @@ class ServingRuntime:
         accounting, then installs them here so duplicate detection and the
         drain report's ``lost == 0`` invariant hold across restarts.
         """
-        q = _TenantQueue(tenant)
+        q = _TenantQueue(tenant, self.registry)
         q.seen_ids = set(seen_ids)
         q.last_arrival = last_arrival
         q.records = records
@@ -617,7 +682,7 @@ class ServingRuntime:
         placed = int((indices >= 0).sum())
         q.placed += placed
         q.dropped += len(batch) - placed
-        self.registry.gauge("serving.queue_depth", tenant=tenant).set(0)
+        q.g_depth.set(0)
         self.registry.counter("serving.flushes", tenant=tenant, cause=cause).inc()
         self.registry.histogram("serving.batch_items").observe(float(len(batch)))
         if self.wal is not None:

@@ -4,7 +4,9 @@ Three live transports decode client arrivals into runtime offers:
 
 * :class:`TcpTransport` — the newline protocol of
   :mod:`repro.serving.protocol` over an asyncio TCP socket, one tenant per
-  connection (``hello <tenant>``), replies pipelined one line per request;
+  connection (``hello <tenant>``).  Clients may pipeline: the complete
+  lines of each socket read are admitted together (one journal write) and
+  answered, one reply line per request in request order, with one write;
 * :class:`HttpTransport` — a minimal hand-rolled HTTP/1.1 endpoint (stdlib
   only, asyncio streams): ``POST /submit`` with an NDJSON body of arrival
   records (tenant from the ``X-Tenant`` header), ``GET /snapshot?tenant=``
@@ -46,10 +48,18 @@ from .runtime import Admission, ServingRuntime
 __all__ = ["TcpTransport", "HttpTransport", "StdinTransport", "ReplayTransport"]
 
 
+#: Longest protocol line, in bytes without its newline (the asyncio
+#: ``StreamReader`` default limit).  Longer input is refused, not buffered.
+MAX_LINE = 1 << 16
+
+
 def _admission_reply(verdict: Admission, runtime: ServingRuntime) -> str:
     """The protocol reply line for one admission verdict."""
     if verdict.status == "ok":
         item = verdict.item
+        if item is not None and type(item.id) is int:
+            # The common reply, formatted by hand: the same bytes as reply().
+            return '{"id":%d,"queue":%d,"status":"ok"}' % (item.id, verdict.queue_depth)
         return reply(
             "ok",
             id=item.id if item is not None else None,
@@ -67,23 +77,68 @@ def _admission_reply(verdict: Admission, runtime: ServingRuntime) -> str:
     return reply("rejected", reason=verdict.reason, error=verdict.error)
 
 
-def _handle_line(runtime: ServingRuntime, tenant: str, line: str) -> tuple[str, str, bool]:
-    """Process one protocol line; returns (reply, tenant, keep_open)."""
-    req = parse_request(line)
-    if req.op == "arrival":
-        return _admission_reply(runtime.offer_line(tenant, req.raw), runtime), tenant, True
-    if req.op == "hello":
-        assert req.tenant is not None
-        return reply("hello", tenant=req.tenant), req.tenant, True
-    if req.op == "snapshot":
-        if tenant in runtime.manager:
-            payload = snapshot_payload(runtime.snapshot(tenant))
+def _protocol_reject(error: str) -> str:
+    """The reply to a line that is not a protocol request."""
+    return reply("rejected", reason="protocol", error=error)
+
+
+def _answer(
+    runtime: ServingRuntime, tenant: str, lines: list[str | None]
+) -> tuple[list[str], str, bool]:
+    """Answer one read's complete lines in order; ``(replies, tenant, keep_open)``.
+
+    One reply per line processed.  Consecutive arrival lines go to
+    :meth:`ServingRuntime.offer_lines` as one run, so they are gated and
+    journaled together; a command, or a line that is not utf-8 (``None``),
+    ends the run, and the lines before it are admitted and answered first.
+    ``hello`` rebinds the tenant for the lines after it, and nothing after
+    ``bye`` is processed.
+    """
+    replies: list[str] = []
+    run: list[str] = []
+    for line in lines:
+        if line is not None:
+            stripped = line.strip()
+            if stripped[:1] == "{":  # parse_request's arrival rule
+                run.append(stripped)
+                continue
+        if run:
+            replies += [_admission_reply(v, runtime) for v in runtime.offer_lines(tenant, run)]
+            run = []
+        if line is None:
+            replies.append(_protocol_reject("not utf-8"))
+            continue
+        req = parse_request(line)
+        if req.op == "hello":
+            assert req.tenant is not None
+            tenant = req.tenant
+            replies.append(reply("hello", tenant=tenant))
+        elif req.op == "snapshot":
+            payload = (
+                snapshot_payload(runtime.snapshot(tenant))
+                if tenant in runtime.manager
+                else {}
+            )
+            replies.append(reply("snapshot", tenant=tenant, **payload))
+        elif req.op == "bye":
+            replies.append(reply("bye"))
+            return replies, tenant, False
         else:
-            payload = {}
-        return reply("snapshot", tenant=tenant, **payload), tenant, True
-    if req.op == "bye":
-        return reply("bye"), tenant, False
-    return reply("rejected", reason="protocol", error=req.error), tenant, True
+            replies.append(_protocol_reject(req.error))
+    if run:
+        replies += [_admission_reply(v, runtime) for v in runtime.offer_lines(tenant, run)]
+    return replies, tenant, True
+
+
+def _decode_lines(raw: list[bytes]) -> list[str | None]:
+    """Each raw line as text, or ``None`` where it is not utf-8."""
+    lines: list[str | None] = []
+    for line in raw:
+        try:
+            lines.append(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            lines.append(None)
+    return lines
 
 
 class TcpTransport:
@@ -135,26 +190,50 @@ class TcpTransport:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One client connection: read lines, write one reply per line."""
+        """One client connection: answer each read with one write.
+
+        Every read's complete lines are answered together (see
+        :func:`_answer`) and their replies go out in one ``write`` and one
+        ``drain``, after the runtime has journaled the read's arrivals.  The
+        unterminated tail waits for the next read; at end of stream it is a
+        line of its own.  A line longer than :data:`MAX_LINE` bytes, ended
+        or not, is answered with one ``protocol`` rejection after the lines
+        before it, and the connection closes.
+        """
         tenant = DEFAULT_TENANT
+        partial = b""
+        keep_open = True
         try:
-            while True:
-                raw = await reader.readline()
-                if not raw:
+            while keep_open:
+                data = await reader.read(MAX_LINE)
+                if data:
+                    *raw, partial = (partial + data).split(b"\n")
+                elif partial:  # end of stream: the last line lacks its newline
+                    raw, partial = [partial], b""
+                else:
                     break
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    writer.write(
-                        (reply("rejected", reason="protocol", error="not utf-8") + "\n").encode()
-                    )
+                overlong = len(partial) > MAX_LINE
+                if raw and max(map(len, raw)) > MAX_LINE:
+                    raw = raw[: next(k for k, line in enumerate(raw) if len(line) > MAX_LINE)]
+                    overlong = True
+                replies: list[str] = []
+                if raw:
+                    try:
+                        lines: list[str | None] = [line.decode("utf-8") for line in raw]
+                    except UnicodeDecodeError:
+                        lines = _decode_lines(raw)
+                    replies, tenant, keep_open = _answer(self.runtime, tenant, lines)
+                if overlong and keep_open:
+                    replies.append(_protocol_reject(f"line exceeds {MAX_LINE} bytes"))
+                    keep_open = False
+                if replies:
+                    writer.write(("\n".join(replies) + "\n").encode())
+                    if not keep_open:
+                        # FIN right after the last reply: closing with input
+                        # still unread resets the socket, which would
+                        # discard that reply at the client.
+                        writer.write_eof()
                     await writer.drain()
-                    continue
-                answer, tenant, keep_open = _handle_line(self.runtime, tenant, line)
-                writer.write((answer + "\n").encode())
-                await writer.drain()
-                if not keep_open:
-                    break
         except (ConnectionResetError, BrokenPipeError):  # client went away
             pass
         finally:
@@ -322,10 +401,12 @@ class HttpTransport:
             counts = {"admitted": 0, "busy": 0, "dropped": 0, "rejected": 0}
             verdicts: list[str] = []
             retry_ms = 0
-            for raw in body.decode("utf-8", errors="replace").splitlines():
-                if not raw.strip():
-                    continue
-                verdict = self.runtime.offer_line(tenant, raw)
+            lines = [
+                raw
+                for raw in body.decode("utf-8", errors="replace").splitlines()
+                if raw.strip()
+            ]
+            for verdict in self.runtime.offer_lines(tenant, lines):
                 key = verdict.status if verdict.status != "ok" else "admitted"
                 counts[key] += 1
                 if verdict.status == "busy":
@@ -422,8 +503,10 @@ class StdinTransport:
     EOF on a pipe ends the transport naturally.  On exit :meth:`run` signals
     the reader — closing an *injected* stream to unblock a parked readline —
     and joins it, so serve-in-process tests that run many transports do not
-    accumulate reader threads.  Replies are flushed per line so a shell
-    pipeline sees them immediately.
+    accumulate reader threads.  Every line already queued when the
+    transport wakes is answered as one read (see :func:`_answer`), and the
+    read's replies are flushed together, so a shell pipeline sees them as
+    soon as they exist.
     """
 
     def __init__(
@@ -472,13 +555,19 @@ class StdinTransport:
         lines = 0
         try:
             while not self._stopped:
-                line = await queue.get()
-                if line is None:
-                    break
-                lines += 1
-                answer, tenant, keep_open = _handle_line(self.runtime, tenant, line)
-                print(answer, file=out, flush=True)
-                if not keep_open:
+                # Every line already queued is one read: answered together.
+                batch = [await queue.get()]
+                while not queue.empty():
+                    batch.append(queue.get_nowait())
+                eof = None in batch
+                if eof:
+                    batch = batch[: batch.index(None)]
+                keep_open = True
+                if batch:
+                    answers, tenant, keep_open = _answer(self.runtime, tenant, batch)
+                    lines += len(answers)
+                    print("\n".join(answers), file=out, flush=True)
+                if eof or not keep_open:
                     break
         finally:
             self._stopped = True
@@ -509,7 +598,7 @@ class StdinTransport:
                 thread.join(timeout=0.5)
 
     def stop(self) -> None:
-        """Stop after the current line (the drain path sets this).
+        """Stop after the current read (the drain path sets this).
 
         Safe from the event-loop thread; wakes a :meth:`run` that is parked
         on an empty queue.

@@ -20,8 +20,11 @@ own subdirectory of:
   names are sanitised, so ``hello ../../etc`` cannot escape the journal
   root).
 
-**Durability model.**  ``sync="always"`` fsyncs every record before the
-append returns.  ``sync="group"`` (the default) writes each record eagerly
+**Durability model.**  The runtime journals the arrivals it admits from one
+run of arrival lines (a socket read, up to its first command) as one
+``write`` (:meth:`TenantWal.append_arrivals`), and ``sync="always"`` fsyncs
+that write before the append returns, so before any reply of the read goes
+out.  ``sync="group"`` (the default) writes each record eagerly
 — it survives any *process* death — but fsyncs only at group-commit points
 (micro-batch flushes, rotation, checkpoint, close), the Redis-AOF
 ``always``/``everysec`` trade.  Flush-cadence commits coalesce to one per
@@ -211,44 +214,63 @@ class TenantWal(SegmentLog):
     # -- appends --------------------------------------------------------------
 
     def write(self, frame: bytes, seq: int) -> None:
+        """Append pre-built frames holding records ``self.seq + 1 .. seq``.
+
+        One ``write`` system call for the whole run, truncated back whole
+        if it fails; the counters count records, not writes, so
+        ``records_since_checkpoint`` and ``serving.wal.appends`` stay exact.
+        """
+        records = seq - self.seq
         super().write(frame, seq)
-        self.records_since_checkpoint += 1
-        self._c_appends.inc()
+        self.records_since_checkpoint += records
+        self._c_appends.inc(records)
         self._c_bytes.inc(len(frame))
 
     def append_arrival(self, item: Item) -> int:
-        """Journal one admitted arrival; returns its sequence number.
+        """Journal one admitted arrival; returns its sequence number."""
+        return self.append_arrivals([item])
 
-        Called *before* the admission acknowledgement — if this raises, the
-        arrival must not be acked.
+    def append_arrivals(self, items: list[Item]) -> int:
+        """Journal admitted arrivals under consecutive seqs in one ``write``.
+
+        Returns the last sequence number.  Called *before* the admission
+        acknowledgements — if this raises, the segment is truncated back to
+        where it was, no seq is used up, and none of ``items`` may be acked.
 
         The common (tagless) arrival is framed by hand — ``repr`` of a
         Python int/float is exactly what ``json.dumps`` emits, and the keys
         are written pre-sorted — producing the same canonical bytes as
         :func:`~repro.resilience.log.frame_line` at a fraction of its
-        cost; the journal append sits on the admission hot path of every
-        single arrival.  ``tests/test_serving_wal.py`` pins the byte
-        equality.
+        cost; the journal append sits on the admission hot path.
+        ``tests/test_serving_wal.py`` pins the byte equality, so a batch
+        writes exactly the bytes its records would one call each.
         """
-        if item.tags:
-            return self.append(
-                {
-                    "op": "arrival",
-                    "id": item.id,
-                    "sizes": list(item.sizes),
-                    "arrival": item.arrival,
-                    "departure": item.departure,
-                    "tags": dict(item.tags),
-                }
-            )
-        seq = self.seq + 1
-        payload = (
-            f'{{"arrival":{item.arrival!r},"departure":{item.departure!r},'
-            f'"id":{item.id!r},"op":"arrival","seq":{seq!r},'
-            f'"sizes":[{",".join(map(repr, item.sizes))}]}}'
-        ).encode("utf-8")
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
-        self.write(b"%08x " % crc + payload + b"\n", seq)
+        seq = self.seq
+        frames = []
+        for item in items:
+            seq += 1
+            if item.tags:
+                frames.append(
+                    frame_line(
+                        {
+                            "op": "arrival",
+                            "id": item.id,
+                            "sizes": list(item.sizes),
+                            "arrival": item.arrival,
+                            "departure": item.departure,
+                            "tags": dict(item.tags),
+                            "seq": seq,
+                        }
+                    ).encode("utf-8")
+                )
+                continue
+            payload = (
+                f'{{"arrival":{item.arrival!r},"departure":{item.departure!r},'
+                f'"id":{item.id!r},"op":"arrival","seq":{seq!r},'
+                f'"sizes":[{",".join(map(repr, item.sizes))}]}}'
+            ).encode("utf-8")
+            frames.append(b"%08x %s\n" % (zlib.crc32(payload), payload))
+        self.write(b"".join(frames), seq)
         return seq
 
     def append_advance(self, t: float) -> int:

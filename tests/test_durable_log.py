@@ -15,13 +15,16 @@
     sweep journal it is counted in ``resilience.*`` and the cell is
     recomputed bit-identically;
   - ``ENOSPC`` reaches the caller: the WAL rejects the arrival instead of
-    acknowledging it, and the sweep raises.
+    acknowledging it (a short batch write is truncated back whole and every
+    arrival in it rejected), and the sweep raises.
 """
 
 from __future__ import annotations
 
 import asyncio
 import errno
+import json
+import os
 import shutil
 from pathlib import Path
 
@@ -101,6 +104,18 @@ def _split(root: Path) -> Path:
 
 def _enospc(fd: int, data: bytes) -> int:
     raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _short_write(fd: int, data: bytes) -> int:
+    """A full disk that takes only the first half of a write."""
+    return os.write(fd, data[: len(data) // 2])
+
+
+def _arrival_lines(*ids: int) -> list[str]:
+    return [
+        json.dumps({"id": k, "size": 0.3, "arrival": float(k), "departure": k + 3.0})
+        for k in ids
+    ]
 
 
 def _tasks(count: int = 4) -> list[SweepTask]:
@@ -318,13 +333,23 @@ def test_wal_under_disk_faults(tmp_path, monkeypatch, fault):
             monkeypatch.setattr(log, "_write", _enospc)
             verdict = runtime.offer("a", _item(8))
             assert verdict.status == "rejected" and verdict.reason == "wal_error"
+            # One read's arrivals share one write; the disk takes half of it.
+            monkeypatch.setattr(log, "_write", _short_write)
+            journal = runtime.wal.tenant("a").path
+            before = {p: p.read_bytes() for p in _segments(journal)}
+            verdicts = runtime.offer_lines("a", _arrival_lines(8, 9, 10))
+            assert [(v.status, v.reason) for v in verdicts] == [("rejected", "wal_error")] * 3
+            after = {p: p.read_bytes() for p in _segments(journal)}
+            assert after == before  # the half-written batch was truncated whole
+            assert runtime.queue_depth("a") == 0
             monkeypatch.undo()
             assert runtime.offer("a", _item(8)).admitted  # its id is still free
+            assert all(v.admitted for v in runtime.offer_lines("a", _arrival_lines(9, 10)))
             report = await runtime.drain()
             assert report.lost == 0
 
         asyncio.run(scenario())
-        assert _recovered_ids(root, TelemetryRegistry()) == list(range(9))
+        assert _recovered_ids(root, TelemetryRegistry()) == list(range(11))
 
 
 # ---------------------------------------------------------------------------

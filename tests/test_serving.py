@@ -26,7 +26,7 @@ from repro.algorithms.base import OnlinePacker
 from repro.core import EventKind, Interval, Item, event_stream
 from repro.engine import PackingSession
 from repro.obs import TelemetryRegistry, set_enabled
-from repro.resilience import FaultPolicy
+from repro.resilience import FaultPolicy, log
 from repro.serving import (
     HttpTransport,
     LoadGenerator,
@@ -37,6 +37,7 @@ from repro.serving import (
     TcpTransport,
     TenantConfig,
     TenantLimitError,
+    WriteAheadLog,
     parse_request,
 )
 from repro.workloads import uniform_random
@@ -437,6 +438,124 @@ class TestMicroBatching:
         asyncio.run(scenario())
 
 
+def _admission_fields(verdict) -> tuple:
+    item = verdict.item
+    return (
+        verdict.status,
+        verdict.reason,
+        verdict.queue_depth,
+        verdict.error,
+        verdict.retry_ms,
+        None if item is None else (item.id, item.sizes, item.arrival, item.departure, item.tags),
+    )
+
+
+def _segment_bytes(runtime: ServingRuntime, tenant: str) -> dict[str, bytes]:
+    path = runtime.wal.tenant(tenant).path
+    return {p.name: p.read_bytes() for p in sorted(path.glob("segment-*.wal"))}
+
+
+class TestAdmissionByRead:
+    """``offer_lines``: one gate pass and one journal write for a whole read."""
+
+    #: After one earlier arrival (id 0), a run that meets every gate verdict.
+    MIXED = [
+        _arrival(1, 1.0, 4.0),
+        _arrival(0, 1.0, 4.0),  # duplicate of an earlier read
+        _arrival(1, 2.0, 5.0),  # duplicate within this run
+        _arrival(2, 0.5, 5.0),  # out of order
+        '{"id": 3, "size": "wat"}',  # malformed
+        *[_arrival(k, k - 1.0, k + 3.0) for k in range(3, 8)],
+    ]
+
+    @pytest.mark.parametrize("mode", ["strict", "skip", "clamp"])
+    def test_one_batch_matches_one_call_per_line(self, tmp_path, mode):
+        async def offered(batched: bool) -> tuple[list, dict[str, bytes], ServingRuntime]:
+            rt = _runtime(
+                manager=SessionManager(TenantConfig(fault_mode=mode)),
+                queue_limit=6,
+                wal=WriteAheadLog(tmp_path / f"{mode}-{batched}"),
+            )
+            assert rt.offer_line("a", _arrival(0, 0.0, 3.0)).admitted
+            if batched:
+                verdicts = rt.offer_lines("a", self.MIXED)
+            else:
+                verdicts = [rt.offer_line("a", line) for line in self.MIXED]
+            return [_admission_fields(v) for v in verdicts], _segment_bytes(rt, "a"), rt
+
+        async def scenario():
+            one, one_wal, rt_one = await offered(batched=False)
+            batch, batch_wal, rt_batch = await offered(batched=True)
+            assert batch == one
+            assert batch_wal == one_wal
+            for rt in (rt_one, rt_batch):
+                report = await rt.drain()
+                assert report.lost == 0
+            assert rt_batch.registry.counter("serving.admitted", tenant="a").value == (
+                rt_one.registry.counter("serving.admitted", tenant="a").value
+            )
+            if mode == "strict":
+                assert [(v[0], v[1]) for v in batch] == [
+                    ("ok", ""),
+                    ("rejected", "duplicate_id"),
+                    ("rejected", "duplicate_id"),
+                    ("rejected", "out_of_order"),
+                    ("rejected", "malformed"),
+                    *[("ok", "")] * 4,
+                    ("busy", "backpressure"),
+                ]
+                assert [v[2] for v in batch] == [2, 2, 2, 2, 2, 3, 4, 5, 6, 6]
+
+        asyncio.run(scenario())
+
+    def test_batched_journal_is_byte_identical(self, tmp_path, monkeypatch):
+        # 500 lines with one duplicate, one malformed line and some tagged
+        # records: one offer_lines call journals exactly the bytes that 500
+        # offer_line calls do, in one write instead of 498.
+        lines = []
+        for k in range(500):
+            record = {"id": k, "size": 0.25, "arrival": float(k), "departure": k + 2.5}
+            if k % 7 == 0:
+                record["tags"] = {"app": f"game-{k % 3}"}
+            lines.append(json.dumps(record))
+        lines[100] = lines[99]
+        lines[200] = '{"id": 200, "size": 2.0, "arrival": 200.0, "departure": 201.0}'
+
+        writes = []
+        write = log._write
+        monkeypatch.setattr(log, "_write", lambda fd, data: writes.append(fd) or write(fd, data))
+
+        async def journal(batched: bool) -> tuple[dict[str, bytes], int]:
+            rt = _runtime(queue_limit=1024, wal=WriteAheadLog(tmp_path / str(batched)))
+            writes.clear()
+            if batched:
+                verdicts = rt.offer_lines("a", lines)
+            else:
+                verdicts = [rt.offer_line("a", line) for line in lines]
+            assert sum(v.admitted for v in verdicts) == 498
+            assert len(writes) == (1 if batched else 498)
+            segments = _segment_bytes(rt, "a")
+            appends = rt.wal.registry.counter("serving.wal.appends", tenant="a").value
+            assert (await rt.drain()).lost == 0
+            return segments, appends
+
+        async def scenario():
+            one, appends_one = await journal(False)
+            batch, appends_batch = await journal(True)
+            assert batch == one and len(one) == 1
+            assert appends_one == appends_batch == 498
+
+        asyncio.run(scenario())
+
+    def test_offer_lines_of_nothing_is_nothing(self):
+        async def scenario():
+            rt = _runtime()
+            assert rt.offer_lines("a", []) == []
+            await rt.drain()
+
+        asyncio.run(scenario())
+
+
 class TestDrain:
     def test_drain_flushes_pending_and_loses_nothing(self):
         async def scenario():
@@ -553,6 +672,83 @@ class TestTcpTransport:
             writer.close()
             await rt.drain()
             await tcp.stop()
+
+        asyncio.run(scenario())
+
+
+    def test_pipelined_read_answers_every_line_in_order(self):
+        async def scenario():
+            manager = SessionManager()
+            manager.configure("skip", TenantConfig(fault_mode="skip"))
+            manager.configure("clamp", TenantConfig(fault_mode="clamp"))
+            rt = ServingRuntime(manager, queue_limit=3, batch_size=1000, batch_deadline=30.0)
+            tcp = TcpTransport(rt)
+            port = await tcp.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(f"hello a\n{_arrival(1, 0.0, 4.0)}\n".encode())
+            await writer.drain()
+            assert json.loads(await reader.readline())["status"] == "hello"
+            assert json.loads(await reader.readline())["status"] == "ok"
+            read = [
+                (_arrival(1, 1.0, 5.0), "rejected", "duplicate_id"),  # seen before
+                (_arrival(2, 1.0, 5.0), "ok", None),
+                (_arrival(2, 2.0, 6.0), "rejected", "duplicate_id"),  # in this read
+                (_arrival(3, 0.5, 6.0), "rejected", "out_of_order"),
+                ('{"id": 3, "size": "wat"}', "rejected", "malformed"),
+                ("snapshot", "snapshot", None),
+                (_arrival(4, 2.0, 6.0), "ok", None),
+                (_arrival(5, 3.0, 7.0), "busy", "backpressure"),
+                ("hello skip", "hello", None),
+                (_arrival(1, 5.0, 9.0), "ok", None),
+                (_arrival(2, 4.0, 9.0), "dropped", "out_of_order"),
+                ("hello clamp", "hello", None),
+                (_arrival(1, 5.0, 9.0), "ok", None),
+                (_arrival(2, 4.0, 9.0), "ok", None),  # clamped to the tail
+                ("bye", "bye", None),
+                (_arrival(9, 9.0, 12.0), None, None),  # after bye: never read
+            ]
+            writer.write("".join(line + "\n" for line, _, _ in read).encode())
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=10.0)  # bye closes
+            replies = [json.loads(line) for line in raw.splitlines()]
+            expected = [(status, reason) for _, status, reason in read if status]
+            assert [(r["status"], r.get("reason")) for r in replies] == expected
+            assert replies[5]["tenant"] == "a"
+            assert [r["id"] for r in replies if r["status"] == "ok"] == [2, 4, 1, 1, 2]
+            writer.close()
+            report = await rt.drain()
+            await tcp.stop()
+            assert report.admitted == 6 and report.lost == 0
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("ended", [True, False], ids=["newline", "no-newline"])
+    def test_overlong_line_is_refused_then_closed(self, ended):
+        async def scenario():
+            rt = ServingRuntime(batch_size=1000, batch_deadline=30.0)
+            tcp = TcpTransport(rt)
+            port = await tcp.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            overlong = json.dumps(
+                {"id": 2, "size": 0.3, "arrival": 1.0, "departure": 5.0,
+                 "tags": {"blob": "x" * 70_000}}
+            )
+            payload = _arrival(1, 0.0, 4.0) + "\n" + overlong
+            if ended:
+                payload += "\n" + _arrival(3, 2.0, 6.0) + "\n"
+            writer.write(payload.encode())
+            await writer.drain()
+            # Without a newline the server must not wait for one: it refuses
+            # the line once it outgrows the limit and closes the connection.
+            raw = await asyncio.wait_for(reader.read(), timeout=10.0)
+            replies = [json.loads(line) for line in raw.splitlines()]
+            assert [r["status"] for r in replies] == ["ok", "rejected"]
+            assert replies[1]["reason"] == "protocol"
+            assert "65536" in replies[1]["error"]
+            writer.close()
+            report = await rt.drain()
+            await tcp.stop()
+            assert report.admitted == 1 and report.lost == 0
 
         asyncio.run(scenario())
 

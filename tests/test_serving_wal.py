@@ -645,10 +645,10 @@ class TestCrashRecovery:
 
             from repro.serving.wal import TenantWal
 
-            def broken(self, item):
+            def broken(self, items):
                 raise OSError("disk full")
 
-            monkeypatch.setattr(TenantWal, "append_arrival", broken)
+            monkeypatch.setattr(TenantWal, "append_arrivals", broken)
             verdict = rt.offer("a", _item(2, 1.0, 3.0))
             assert verdict.status == "rejected" and verdict.reason == "wal_error"
             assert "disk full" in verdict.error
